@@ -47,3 +47,8 @@ class HypothesisError(ComplexError):
 
 class FixtureError(ComplexError):
     """Unknown fixture name or parameters out of range."""
+
+
+class CrossCheckError(ComplexError):
+    """Two independent computations of the same invariant disagree, such
+    as cohomology and homology under universal coefficients."""

@@ -5,17 +5,20 @@ vertex tuples: the column of an i-face sigma has entry (-1)^j in the
 row of the face obtained by deleting sigma's j-th vertex.  Faces are
 indexed in lexicographic id order, so matrices are reproducible.
 
-Over Z, Betti numbers come from Smith normal form ranks and torsion
-from the invariant factors of the next boundary map.  Over a prime
-field Z_p, ranks come from Gaussian elimination mod p and there is no
-torsion.  Reduced homology augments the chain complex with the empty
+Each boundary matrix is built sparse, column by column, as a
+SparseMatrix of +-1 entries, and reduced by the one elimination engine
+of ``snf``.  Over Z, Betti numbers come from Smith normal form ranks and
+torsion from the invariant factors of the next boundary map.  Over a
+prime field Z_p, ranks come from the same elimination mod p and there is
+no torsion.  Reduced homology augments the chain complex with the empty
 simplex; the empty complex then has a single reduced group Z in
 dimension -1, which keeps duality bookkeeping uniform.
 
 Cohomology is computed from transposed boundary matrices with its own
-eliminations, then asserted consistent with homology via universal
-coefficients; the assertion is a real cross-check because none of the
-transposed reductions are shared with the homology side.
+eliminations, then checked against homology via universal
+coefficients; the check is a real one because none of the transposed
+reductions are shared with the homology side.  A failed check raises
+CrossCheckError.
 """
 
 from __future__ import annotations
@@ -23,11 +26,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .complexes import SimplicialComplex
-from .errors import CoefficientError, DimensionError, HypothesisError, NotPseudomanifoldError
-from .snf import DENSE_COLUMN_LIMIT, SparseColumns, is_prime, rank_mod_p, smith_normal_form
+from .errors import (
+    CoefficientError,
+    CrossCheckError,
+    DimensionError,
+    HypothesisError,
+    NotPseudomanifoldError,
+)
+from .snf import SparseMatrix, is_prime, rank_mod_p, smith_normal_form
 
 _COEFF_RE = re.compile(r"[Zz](?:/)?(\d+)\Z")
 
@@ -119,7 +126,7 @@ class BoundaryMatrix:
     reduced: bool
     row_simplices: tuple
     col_simplices: tuple
-    matrix: object  # numpy int64 array or SparseColumns
+    matrix: SparseMatrix  # +-1 entries, rows and columns indexed as above
 
     @property
     def shape(self):
@@ -136,23 +143,17 @@ def _build_boundary(K: SimplicialComplex, i: int, reduced: bool):
     cols = K._ifaces(i)
     if i == 0:
         if reduced:
-            M = np.ones((1, len(cols)), dtype=np.int64)
+            M = SparseMatrix((1, len(cols)), {0: dict.fromkeys(range(len(cols)), 1)})
         else:
-            M = np.zeros((0, len(cols)), dtype=np.int64)
+            M = SparseMatrix((0, len(cols)), {})
     else:
-        rows = K._ifaces(i - 1)
-        index = {s: r for r, s in enumerate(rows)}
-        if len(cols) > DENSE_COLUMN_LIMIT:
-            entries = []
-            for c, s in enumerate(cols):
-                for j in range(i + 1):
-                    entries.append((index[s[:j] + s[j + 1 :]], c, -1 if j % 2 else 1))
-            M = SparseColumns.from_entries((len(rows), len(cols)), entries)
-        else:
-            M = np.zeros((len(rows), len(cols)), dtype=np.int64)
-            for c, s in enumerate(cols):
-                for j in range(i + 1):
-                    M[index[s[:j] + s[j + 1 :]], c] = -1 if j % 2 else 1
+        faces = K._ifaces(i - 1)
+        index = {s: r for r, s in enumerate(faces)}
+        rows = {}
+        for c, s in enumerate(cols):
+            for j in range(i + 1):
+                rows.setdefault(index[s[:j] + s[j + 1 :]], {})[c] = -1 if j % 2 else 1
+        M = SparseMatrix((len(faces), len(cols)), rows)
     K._cache[key] = M
     return M
 
@@ -184,9 +185,7 @@ def _coboundary_snf(K, i, reduced):
     try:
         return K._cache[key]
     except KeyError:
-        M = _build_boundary(K, i, reduced)
-        Mt = M.transpose() if isinstance(M, SparseColumns) else M.T
-        res = smith_normal_form(Mt)
+        res = smith_normal_form(_build_boundary(K, i, reduced).transpose())
         K._cache[key] = res
         return res
 
@@ -198,7 +197,7 @@ def _boundary_rank_p(K, i, reduced, p, transposed=False):
     except KeyError:
         M = _build_boundary(K, i, reduced)
         if transposed:
-            M = M.transpose() if isinstance(M, SparseColumns) else M.T
+            M = M.transpose()
         r = rank_mod_p(M, p)
         K._cache[key] = r
         return r
@@ -240,9 +239,10 @@ def homology(K: SimplicialComplex, coeff="Z", reduced: bool = False) -> Homology
 def cohomology(K: SimplicialComplex, coeff="Z", reduced: bool = False) -> HomologyProfile:
     """Cohomology profile from transposed boundary maps.
 
-    Asserts the universal-coefficient relations against homology: equal
+    Checks the universal-coefficient relations against homology: equal
     Betti numbers in each degree, and degree-i cohomology torsion equal
-    to degree-(i-1) homology torsion.
+    to degree-(i-1) homology torsion.  Raises CrossCheckError if either
+    fails.
     """
     label, p = parse_coeff(coeff)
     key = ("cprof", label, reduced)
@@ -276,16 +276,17 @@ def cohomology(K: SimplicialComplex, coeff="Z", reduced: bool = False) -> Homolo
     for i in range(lo, dim + 1):
         cb, ct = profile.group(i)
         hb, _ = hom.group(i)
-        assert cb == hb, f"universal coefficients violated at degree {i}: betti {cb} != {hb}"
-        assert ct == hom.group(i - 1)[1], (
-            f"universal coefficients violated at degree {i}: torsion {ct} != {hom.group(i - 1)[1]}"
-        )
+        if cb != hb:
+            raise CrossCheckError(f"universal coefficients violated at degree {i}: betti {cb} != {hb}")
+        ht = hom.group(i - 1)[1]
+        if ct != ht:
+            raise CrossCheckError(f"universal coefficients violated at degree {i}: torsion {ct} != {ht}")
     K._cache[key] = profile
     return profile
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
-    """Alternating face-count sum, asserted against rational Betti numbers."""
+    """Alternating face-count sum, checked against rational Betti numbers."""
     chi = 0
     for i in range(K.dimension + 1):
         chi += len(K._ifaces(i)) if i % 2 == 0 else -len(K._ifaces(i))
@@ -293,7 +294,8 @@ def euler_characteristic(K: SimplicialComplex) -> int:
     betti_chi = sum(
         (betti if dim % 2 == 0 else -betti) for dim, betti, _ in prof.groups
     )
-    assert chi == betti_chi, f"euler characteristic mismatch: faces {chi}, betti {betti_chi}"
+    if chi != betti_chi:
+        raise CrossCheckError(f"euler characteristic mismatch: faces {chi}, betti {betti_chi}")
     return chi
 
 

@@ -462,5 +462,7 @@ def validate_not_free_certificate(verdict: FreenessVerdict) -> bool:
             return False
         if all(p == ident for p in images):
             return False
+        if not abelianization(Q).trivial:
+            return False
         return all(_relator_image(r, list(images), n) == ident for r in Q.relators)
     return False

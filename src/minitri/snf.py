@@ -1,53 +1,41 @@
 """Exact Smith normal form and mod-p rank for integer matrices.
 
-The driver routine picks a representation-appropriate engine:
+One sparse elimination engine serves both.  The matrix is stored as a
+dict of rows and reduced by pivots taken Markowitz style: the sparsest
+column first, then the sparsest row within that column.  Over Z only
+entries +-1 are pivots, so each step is unimodular and contributes an
+invariant factor 1; over F_p every nonzero entry is a pivot.  After a
+pivot has cleared its column, its row and column are dropped.
 
-* dense numpy int64 with a machine-word overflow guard (the common,
-  fast case; boundary matrices have entries in {-1, 0, 1} and pivots
-  rarely grow),
-* a dense arbitrary-precision Python engine used when entries are or
-  become too large for int64,
-* a sparse column engine for matrices wider than DENSE_COLUMN_LIMIT.
-
-All engines run the same classical reduction: repeatedly move a
-minimal-magnitude pivot to the corner, clear its row and column with
-floor-division steps (Euclid through pivot re-selection), and absorb
-any entry the pivot does not divide before advancing.  Pivots therefore
-come out as the invariant factors d_1 | d_2 | ... directly.
+Boundary matrices have entries in {-1, 0, 1} and reduce almost entirely
+by unit pivots (Dumas, Heckenbach, Saunders and Welker 2003).  Over Z
+the small residual that has no unit entry left goes to an exact dense
+reduction: repeatedly move a minimal-magnitude pivot to the corner,
+clear its row and column with floor-division steps (Euclid through pivot
+re-selection), and absorb any entry the pivot does not divide before
+advancing, so pivots come out as invariant factors d_1 | d_2 | ...
+directly.  Over F_p nothing is left over.  Python integers are
+arbitrary precision, so no overflow guard is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from heapq import heapify, heappop, heappush
 
 from .errors import CoefficientError, HypothesisError
-
-DENSE_COLUMN_LIMIT = 5000
-
-# Elimination steps multiply an entry by a quotient and add; keeping all
-# magnitudes below 2**31 keeps every intermediate below 2**63.
-_INT64_SAFE = 2**31
-
-
-class _Int64Overflow(Exception):
-    pass
 
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Invariant factors of an integer matrix, plus optional transforms.
+    """Invariant factors of an integer matrix.
 
     ``invariant_factors`` are the positive diagonal entries of the Smith
-    normal form in divisibility order; ``rank`` is their count.  When
-    requested, ``transforms`` holds unimodular (U, V) with U @ M @ V
-    equal to the Smith form.
+    normal form in divisibility order; ``rank`` is their count.
     """
 
     shape: tuple
     invariant_factors: tuple
-    transforms: tuple | None = None
 
     @property
     def rank(self) -> int:
@@ -65,194 +53,144 @@ class SNFResult:
         }
 
 
-class SparseColumns:
-    """Column-major sparse integer matrix for very wide boundary matrices."""
+class SparseMatrix:
+    """Integer matrix as a dict of rows: ``rows[i][j]`` is the nonzero entry (i, j)."""
 
-    __slots__ = ("shape", "columns")
+    __slots__ = ("shape", "rows")
 
-    def __init__(self, shape, columns):
-        self.shape = shape
-        self.columns = columns
-
-    @classmethod
-    def from_entries(cls, shape, entries):
-        columns = {}
-        for i, j, v in entries:
-            if v:
-                columns.setdefault(j, {})[i] = v
-        return cls(shape, columns)
+    def __init__(self, shape, rows):
+        self.shape = tuple(shape)
+        self.rows = rows
 
     def transpose(self):
         m, n = self.shape
-        cols = {}
-        for j, col in self.columns.items():
-            for i, v in col.items():
-                cols.setdefault(i, {})[j] = v
-        return SparseColumns((n, m), cols)
+        rows = {}
+        for i, row in self.rows.items():
+            for j, v in row.items():
+                rows.setdefault(j, {})[i] = v
+        return SparseMatrix((n, m), rows)
 
-    def toarray(self):
-        out = np.zeros(self.shape, dtype=np.int64)
-        for j, col in self.columns.items():
-            for i, v in col.items():
-                out[i, j] = v
+    def tolist(self):
+        m, n = self.shape
+        out = [[0] * n for _ in range(m)]
+        for i, row in self.rows.items():
+            for j, v in row.items():
+                out[i][j] = v
         return out
 
 
-def smith_normal_form(matrix, want_transforms: bool = False) -> SNFResult:
+def _sparse_rows(matrix, p=None):
+    """Shape and a fresh dict-of-rows copy of ``matrix``, entries reduced mod p."""
+    if isinstance(matrix, SparseMatrix):
+        shape, source = matrix.shape, matrix.rows.items()
+    else:
+        shape = getattr(matrix, "shape", None)
+        if hasattr(matrix, "tolist"):
+            matrix = matrix.tolist()
+        dense = [[int(v) for v in row] for row in matrix]
+        if shape is not None and len(shape) == 2:
+            n = shape[1]
+        else:
+            n = len(dense[0]) if dense else 0
+        if any(len(row) != n for row in dense):
+            raise HypothesisError("matrix rows have unequal lengths")
+        shape = (len(dense), n)
+        source = ((i, dict(enumerate(row))) for i, row in enumerate(dense))
+    rows = {}
+    for i, row in source:
+        if p:
+            row = {j: v % p for j, v in row.items()}
+        row = {j: v for j, v in row.items() if v}
+        if row:
+            rows[i] = row
+    return shape, rows
+
+
+def _eliminate(rows, p=None) -> int:
+    """Pivot ``rows`` in place and return the number of pivots taken.
+
+    With ``p`` None the pivots are entries +-1 and arithmetic is over Z;
+    ``rows`` is left holding the residual, which has no unit entry.
+    Otherwise entries are residues mod p, any nonzero entry is a pivot
+    and ``rows`` is left empty.
+    """
+    cols = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    # Lazy priority queue of (nonzeros, column): an entry is stale once the
+    # column's count has changed; every column an update touches is pushed
+    # again, so a column left behind has no pivot since its last change.
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapify(heap)
+    pivots = 0
+    while heap:
+        count, j = heappop(heap)
+        col = cols.get(j)
+        if col is None or len(col) != count:
+            continue
+        best = None
+        for i in col:
+            if p is None and rows[i][j] not in (1, -1):
+                continue
+            size = len(rows[i])
+            if best is None or size < best_size:
+                best, best_size = i, size
+        if best is None:
+            continue
+        prow = rows.pop(best)
+        u = prow.pop(j)
+        inv = u if p is None else pow(u, p - 2, p)
+        col.discard(best)
+        for c in prow:
+            cols[c].discard(best)
+        items = prow.items()
+        for k in col:
+            row = rows[k]
+            f = row.pop(j) * inv
+            for c, v in items:
+                old = row.get(c)
+                new = (old or 0) - f * v
+                if p is not None:
+                    new %= p
+                if new:
+                    if old is None:
+                        cols[c].add(k)
+                    row[c] = new
+                else:
+                    del row[c]
+                    cols[c].discard(k)
+            if not row:
+                del rows[k]
+        del cols[j]
+        for c in prow:
+            if cols[c]:
+                heappush(heap, (len(cols[c]), c))
+            else:
+                del cols[c]
+        pivots += 1
+    return pivots
+
+
+def smith_normal_form(matrix) -> SNFResult:
     """Smith normal form over the integers, exactly.
 
-    ``matrix`` may be a numpy array, a nested list, or SparseColumns.
-    Transforms are available for the dense engines only.
+    ``matrix`` may be a SparseMatrix, a nested list, or an array-like
+    with ``.tolist()`` and ``.shape`` such as a numpy array.
     """
-    if isinstance(matrix, SparseColumns):
-        if want_transforms:
-            raise HypothesisError("transforms are not tracked for sparse input")
-        factors = _snf_sparse(matrix)
-        return SNFResult(matrix.shape, tuple(factors))
-
-    rows = _as_rows(matrix)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0 and isinstance(matrix, np.ndarray) and matrix.ndim == 2:
-        n = matrix.shape[1]
-    shape = (m, n)
-    if m == 0 or n == 0:
-        if want_transforms:
-            U = np.eye(m, dtype=np.int64)
-            V = np.eye(n, dtype=np.int64)
-            return SNFResult(shape, (), (U, V))
-        return SNFResult(shape, ())
-
-    big = max(abs(v) for row in rows for v in row)
-    if big < _INT64_SAFE:
-        try:
-            return _snf_numpy(rows, shape, want_transforms)
-        except _Int64Overflow:
-            pass
-    factors, transforms = _snf_dense_python(rows, shape, want_transforms)
-    return SNFResult(shape, tuple(factors), transforms)
+    shape, rows = _sparse_rows(matrix)
+    units = _eliminate(rows)
+    factors = ()
+    if rows:
+        cols = sorted({j for row in rows.values() for j in row})
+        residual = [[row.get(j, 0) for j in cols] for row in rows.values()]
+        factors = tuple(_snf_dense_python(residual, (len(residual), len(cols))))
+    return SNFResult(shape, (1,) * units + factors)
 
 
-def _as_rows(matrix):
-    if isinstance(matrix, np.ndarray):
-        return [[int(v) for v in row] for row in matrix.tolist()] if matrix.ndim == 2 else []
-    return [[int(v) for v in row] for row in matrix]
-
-
-def _snf_numpy(rows, shape, want_transforms):
-    m, n = shape
-    A = np.array(rows, dtype=np.int64)
-    U = np.eye(m, dtype=np.int64) if want_transforms else None
-    V = np.eye(n, dtype=np.int64) if want_transforms else None
-    # cap tracks the exact maximum magnitude seen anywhere; updates below
-    # refresh it from the blocks they touch, which keeps the overflow
-    # check O(touched) instead of O(matrix) per step.
-    cap = int(np.abs(A).max(initial=0))
-
-    def bump(*blocks):
-        nonlocal cap
-        for b in blocks:
-            if b.size:
-                cap = max(cap, int(np.abs(b).max()))
-        if cap >= _INT64_SAFE:
-            raise _Int64Overflow
-
-    def swap_rows(a, b):
-        if a != b:
-            A[[a, b], :] = A[[b, a], :]
-            if want_transforms:
-                U[[a, b], :] = U[[b, a], :]
-
-    def swap_cols(a, b):
-        if a != b:
-            A[:, [a, b]] = A[:, [b, a]]
-            if want_transforms:
-                V[:, [a, b]] = V[:, [b, a]]
-
-    factors = []
-    l = 0
-    while l < min(m, n):
-        sub = A[l:, l:]
-        absub = np.abs(sub)
-        if not absub.any():
-            break
-        # Boundary matrices are unit-heavy: take the first +-1 when one
-        # exists, otherwise the first minimal-magnitude entry.
-        flat = int(np.argmax(absub == 1))
-        if absub.flat[flat] != 1:
-            big = int(absub.max()) + 1
-            flat = int(np.argmin(np.where(absub == 0, big, absub)))
-        pi, pj = divmod(flat, sub.shape[1])
-        swap_rows(l, pi + l)
-        swap_cols(l, pj + l)
-        if A[l, l] < 0:
-            A[l, :] = -A[l, :]
-            if want_transforms:
-                U[l, :] = -U[l, :]
-
-        while True:
-            p = int(A[l, l])
-            col = A[l + 1 :, l]
-            nzr = np.nonzero(col)[0]
-            if nzr.size:
-                q = col[nzr] // p
-                take = q != 0
-                if take.any():
-                    ridx = nzr[take] + (l + 1)
-                    A[ridx, :] -= q[take][:, None] * A[l, :][None, :]
-                    bump(A[ridx, :])
-                    if want_transforms:
-                        U[ridx, :] -= q[take][:, None] * U[l, :][None, :]
-                        bump(U[ridx, :])
-                rem = A[l + 1 :, l]
-                left = np.nonzero(rem)[0]
-                if left.size:
-                    # Euclid step: the smallest remainder becomes the pivot.
-                    k = int(np.argmin(rem[left]))
-                    swap_rows(l, int(left[k]) + l + 1)
-                    continue
-            row = A[l, l + 1 :]
-            nzc = np.nonzero(row)[0]
-            if nzc.size:
-                q = row[nzc] // p
-                take = q != 0
-                if take.any():
-                    cidx = nzc[take] + (l + 1)
-                    A[:, cidx] -= A[:, l][:, None] * q[take][None, :]
-                    bump(A[:, cidx])
-                    if want_transforms:
-                        V[:, cidx] -= V[:, l][:, None] * q[take][None, :]
-                        bump(V[:, cidx])
-                rem = A[l, l + 1 :]
-                left = np.nonzero(rem)[0]
-                if left.size:
-                    k = int(np.argmin(rem[left]))
-                    swap_cols(l, int(left[k]) + l + 1)
-                    continue
-            if p != 1:
-                rest = A[l + 1 :, l + 1 :]
-                if rest.size:
-                    bad = np.nonzero(np.any(rest % p, axis=1))[0]
-                    if bad.size:
-                        A[l, :] += A[l + 1 + int(bad[0]), :]
-                        bump(A[l, :])
-                        if want_transforms:
-                            U[l, :] += U[l + 1 + int(bad[0]), :]
-                            bump(U[l, :])
-                        continue
-            break
-        factors.append(int(A[l, l]))
-        l += 1
-
-    transforms = (U, V) if want_transforms else None
-    return SNFResult(shape, tuple(factors), transforms)
-
-
-def _snf_dense_python(rows, shape, want_transforms):
+def _snf_dense_python(rows, shape):
     m, n = shape
     A = [row[:] for row in rows]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if want_transforms else None
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_transforms else None
 
     factors = []
     l = 0
@@ -270,18 +208,11 @@ def _snf_dense_python(rows, shape, want_transforms):
         _, pi, pj = best
         if pi != l:
             A[l], A[pi] = A[pi], A[l]
-            if want_transforms:
-                U[l], U[pi] = U[pi], U[l]
         if pj != l:
             for row in A:
                 row[l], row[pj] = row[pj], row[l]
-            if want_transforms:
-                for row in V:
-                    row[l], row[pj] = row[pj], row[l]
         if A[l][l] < 0:
             A[l] = [-v for v in A[l]]
-            if want_transforms:
-                U[l] = [-v for v in U[l]]
         p = A[l][l]
 
         dirty = False
@@ -291,10 +222,6 @@ def _snf_dense_python(rows, shape, want_transforms):
                 Ai, Al = A[i], A[l]
                 for j in range(n):
                     Ai[j] -= q * Al[j]
-                if want_transforms:
-                    Ui, Ul = U[i], U[l]
-                    for j in range(m):
-                        Ui[j] -= q * Ul[j]
             if A[i][l]:
                 dirty = True
         if dirty:
@@ -305,9 +232,6 @@ def _snf_dense_python(rows, shape, want_transforms):
             if q:
                 for i in range(m):
                     A[i][j] -= q * A[i][l]
-                if want_transforms:
-                    for i in range(n):
-                        V[i][j] -= q * V[i][l]
             if A[l][j]:
                 dirty = True
         if dirty:
@@ -323,122 +247,10 @@ def _snf_dense_python(rows, shape, want_transforms):
                 Al, Ab = A[l], A[bad]
                 for j in range(n):
                     Al[j] += Ab[j]
-                if want_transforms:
-                    Ul, Ub = U[l], U[bad]
-                    for j in range(m):
-                        Ul[j] += Ub[j]
                 continue
         factors.append(p)
         l += 1
 
-    transforms = None
-    if want_transforms:
-        transforms = (np.array(U, dtype=object), np.array(V, dtype=object))
-    return factors, transforms
-
-
-def _snf_sparse(matrix: SparseColumns):
-    """Deletion-based reduction on dict-of-dicts storage."""
-    rows = {}
-    for j, col in matrix.columns.items():
-        for i, v in col.items():
-            rows.setdefault(i, {})[j] = v
-    cols = {}
-    for i, row in rows.items():
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-
-    def row_sub(i, i0, q):
-        # row_i -= q * row_i0
-        row0 = rows[i0]
-        rowi = rows[i]
-        for j, v in row0.items():
-            new = rowi.get(j, 0) - q * v
-            if new:
-                rowi[j] = new
-                cols.setdefault(j, set()).add(i)
-            elif j in rowi:
-                del rowi[j]
-                cols[j].discard(i)
-
-    def col_sub(j, j0, q):
-        # col_j -= q * col_j0
-        for i in list(cols.get(j0, ())):
-            v0 = rows[i][j0]
-            new = rows[i].get(j, 0) - q * v0
-            if new:
-                rows[i][j] = new
-                cols.setdefault(j, set()).add(i)
-            elif j in rows[i]:
-                del rows[i][j]
-                cols[j].discard(i)
-
-    factors = []
-    while True:
-        best = None
-        for i, row in rows.items():
-            for j, v in row.items():
-                key = (abs(v), i, j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, i0, j0 = best
-        if rows[i0][j0] < 0:
-            for j in list(rows[i0]):
-                rows[i0][j] = -rows[i0][j]
-        p = rows[i0][j0]
-
-        col_dirty = False
-        for i in list(cols.get(j0, ())):
-            if i == i0:
-                continue
-            q = rows[i][j0] // p
-            if q:
-                row_sub(i, i0, q)
-            if rows[i].get(j0):
-                col_dirty = True
-        if col_dirty:
-            continue
-        row_dirty = False
-        for j in list(rows[i0]):
-            if j == j0:
-                continue
-            q = rows[i0][j] // p
-            if q:
-                col_sub(j, j0, q)
-            if rows[i0].get(j):
-                row_dirty = True
-        if row_dirty:
-            continue
-        if p != 1:
-            bad = None
-            for i, row in rows.items():
-                if i == i0:
-                    continue
-                if any(v % p for v in row.values()):
-                    bad = i
-                    break
-            if bad is not None:
-                q_all = rows[bad]
-                rowi0 = rows[i0]
-                for j, v in list(q_all.items()):
-                    new = rowi0.get(j, 0) + v
-                    if new:
-                        rowi0[j] = new
-                        cols.setdefault(j, set()).add(i0)
-                    elif j in rowi0:
-                        del rowi0[j]
-                        cols[j].discard(i0)
-                continue
-        factors.append(p)
-        for j in list(rows[i0]):
-            cols[j].discard(i0)
-        del rows[i0]
-        if j0 in cols:
-            for i in list(cols[j0]):
-                rows[i].pop(j0, None)
-            del cols[j0]
     return factors
 
 
@@ -446,32 +258,8 @@ def rank_mod_p(matrix, p: int) -> int:
     """Rank of an integer matrix over the field with p elements."""
     if not is_prime(p):
         raise CoefficientError(f"{p} is not prime")
-    if isinstance(matrix, SparseColumns):
-        matrix = matrix.toarray()
-    rows = _as_rows(matrix)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0 or n == 0:
-        return 0
-    A = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-    r = 0
-    for j in range(n):
-        pivot_rows = np.nonzero(A[r:, j])[0]
-        if pivot_rows.size == 0:
-            continue
-        pr = r + int(pivot_rows[0])
-        if pr != r:
-            A[[r, pr], :] = A[[pr, r], :]
-        inv = pow(int(A[r, j]), p - 2, p)
-        A[r, :] = (A[r, :] * inv) % p
-        others = np.nonzero(A[:, j])[0]
-        others = others[others != r]
-        if others.size:
-            A[others, :] = (A[others, :] - A[others, j][:, None] * A[r, :][None, :]) % p
-        r += 1
-        if r == m:
-            break
-    return r
+    _, rows = _sparse_rows(matrix, p)
+    return _eliminate(rows, p)
 
 
 def is_prime(p: int) -> bool:

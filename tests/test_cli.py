@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,3 +179,13 @@ def test_missing_file():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_cli_import_leaves_numpy_out():
+    src = Path(__file__).parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import minitri.cli, sys; sys.exit('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr or "importing minitri.cli loaded numpy"

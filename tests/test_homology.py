@@ -1,11 +1,18 @@
+import dataclasses
+import importlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from minitri import fixtures
+from minitri import facetio, fixtures
+from minitri.cli import main
 from minitri.complexes import from_facets
-from minitri.errors import CoefficientError
+from minitri.errors import CoefficientError, CrossCheckError
 from minitri.homology import (
     boundary_matrix,
     cohomology,
@@ -15,6 +22,9 @@ from minitri.homology import (
 )
 
 from oracles import random_complex, suspension
+
+# the package attribute minitri.homology is the function, not the module
+homology_module = importlib.import_module("minitri.homology")
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -96,8 +106,8 @@ def test_boundary_of_boundary_is_zero():
         for i in range(1, K.dimension):
             A = boundary_matrix(K, i).matrix
             B = boundary_matrix(K, i + 1).matrix
-            A = A.toarray() if hasattr(A, "toarray") else A
-            B = B.toarray() if hasattr(B, "toarray") else B
+            A = np.array(A.tolist(), dtype=np.int64).reshape(A.shape)
+            B = np.array(B.tolist(), dtype=np.int64).reshape(B.shape)
             if A.size and B.size:
                 prod = A.astype(object) @ B.astype(object)
                 assert not prod.any()
@@ -118,6 +128,83 @@ def test_euler_matches_alternating_betti():
         prof = homology(K)
         chi = sum((-1) ** i * prof.betti(i) for i in range(K.dimension + 1))
         assert chi == euler_characteristic(K)
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_wide_cross_polytope_is_sphere(d):
+    # boundary matrices up to 4032 x 5376 for d = 8
+    K = fixtures.cross_polytope(d)
+    assert homology(K, reduced=True).is_sphere(d)
+
+
+def _drop_one_rank(monkeypatch):
+    """Make the degree-1 coboundary SNF report one invariant factor too few."""
+    real = homology_module._coboundary_snf
+
+    def broken(K, i, reduced):
+        res = real(K, i, reduced)
+        if i == 1:
+            return dataclasses.replace(res, invariant_factors=res.invariant_factors[1:])
+        return res
+
+    monkeypatch.setattr(homology_module, "_coboundary_snf", broken)
+
+
+def _skew_betti(monkeypatch):
+    """Make homology report one Betti number too many in degree 0."""
+    real = homology_module.homology
+
+    def broken(K, coeff="Z", reduced=False):
+        prof = real(K, coeff, reduced)
+        groups = tuple((i, b + (i == 0), t) for i, b, t in prof.groups)
+        return dataclasses.replace(prof, groups=groups)
+
+    monkeypatch.setattr(homology_module, "homology", broken)
+
+
+def test_cohomology_cross_check_raises(monkeypatch):
+    _drop_one_rank(monkeypatch)
+    with pytest.raises(CrossCheckError, match="universal coefficients"):
+        cohomology(fixtures.torus_7())
+
+
+def test_euler_cross_check_raises(monkeypatch, tmp_path):
+    _skew_betti(monkeypatch)
+    with pytest.raises(CrossCheckError, match="euler characteristic"):
+        euler_characteristic(fixtures.torus_7())
+    path = tmp_path / "torus.facets"
+    facetio.dump(fixtures.torus_7(), path)
+    assert main(["info", str(path)]) == 2
+
+
+_OPTIMIZED_SCRIPT = """
+import sys
+import pytest
+from minitri import fixtures
+from minitri.errors import CrossCheckError
+from minitri.homology import cohomology, euler_characteristic
+from test_homology import _drop_one_rank, _skew_betti
+
+for breaker, check in ((_drop_one_rank, cohomology), (_skew_betti, euler_characteristic)):
+    with pytest.MonkeyPatch.context() as mp:
+        breaker(mp)
+        try:
+            check(fixtures.torus_7())
+        except CrossCheckError:
+            continue
+    sys.exit(f"{check.__name__} did not raise")
+assert False, "asserts are stripped under -O"
+"""
+
+
+def test_cross_checks_survive_optimized_mode():
+    here = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_suspension_shifts_reduced_homology():

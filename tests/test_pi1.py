@@ -7,6 +7,7 @@ from minitri.complexes import from_facets
 from minitri.errors import ConnectivityError, DimensionError, HypothesisError
 from minitri.homology import homology
 from minitri.pi1 import (
+    FreenessVerdict,
     GroupPresentation,
     abelianization,
     edge_path_presentation,
@@ -156,6 +157,20 @@ def test_certificate_kinds_revalidate():
         v = freeness_verdict(edge_path_presentation(K))
         assert v.status == "NOT_FREE"
         assert validate_not_free_certificate(v)
+
+
+def test_forged_perfect_certificate_rejected():
+    # <a, b | b> is Z, which is free: the S_2 image of a is genuine, but
+    # the group is not perfect, so the certificate proves nothing
+    Q = GroupPresentation(2, ((2,),))
+    cert = {
+        "kind": "perfect-and-nontrivial-quotient",
+        "degree": 2,
+        "images": ((1, 0), (0, 1)),
+        "presentation": Q,
+    }
+    forged = FreenessVerdict("NOT_FREE", None, cert["kind"], cert, Q)
+    assert not validate_not_free_certificate(forged)
 
 
 def test_edge_path_needs_connected_positive_dimension():

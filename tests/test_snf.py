@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minitri import fixtures
 from minitri.errors import CoefficientError, HypothesisError
+from minitri.homology import boundary_matrix
 from minitri.snf import (
-    SparseColumns,
+    SparseMatrix,
     is_prime,
     rank_mod_p,
     smith_normal_form,
@@ -16,9 +18,10 @@ from minitri.snf import (
 
 from oracles import (
     determinantal_divisor_factors,
-    exact_det,
+    random_complex,
     random_matrix,
     snf_invariant_factors_naive,
+    suspension,
 )
 
 
@@ -77,22 +80,6 @@ def test_divisibility_chain():
         assert all(f[i + 1] % f[i] == 0 for i in range(len(f) - 1)), f
 
 
-def test_transforms_reconstruct_smith_form():
-    rng = random.Random(3)
-    for _ in range(40):
-        M = np.array(random_matrix(rng, max_dim=6), dtype=np.int64)
-        res = smith_normal_form(M, want_transforms=True)
-        U, V = res.transforms
-        D = np.array(U, dtype=object) @ np.array(M, dtype=object) @ np.array(V, dtype=object)
-        expect = np.zeros(M.shape, dtype=object)
-        for i, d in enumerate(res.invariant_factors):
-            expect[i, i] = d
-        assert (D == expect).all()
-        # unimodularity must be checked exactly, not in floats
-        assert abs(exact_det(U.tolist())) == 1
-        assert abs(exact_det(V.tolist())) == 1
-
-
 def test_python_fallback_handles_huge_entries():
     # entries beyond the int64 comfort zone go straight to exact python
     big = 2**40
@@ -107,24 +94,61 @@ def test_python_engine_matches_numpy_engine():
         M = random_matrix(rng, max_dim=6)
         shape = (len(M), len(M[0]))
         rows = [list(r) for r in M]
-        factors, _ = _snf_dense_python(rows, shape, False)
+        factors = _snf_dense_python(rows, shape)
         assert tuple(factors) == smith_normal_form(M).invariant_factors
 
 
-def test_sparse_engine_matches_dense():
+def _boundary_matrices(K):
+    return [boundary_matrix(K, i).matrix for i in range(1, K.dimension + 1)]
+
+
+def _oracle_complexes():
+    rng = random.Random(1801)
+    out = []
+    for _ in range(12):
+        K = random_complex(rng)
+        out += [K, suspension(K, 101, 102)]
+    rp2 = fixtures.rp2_6()
+    for k in range(1, 3):
+        rp2 = suspension(rp2, 100 + 2 * k, 101 + 2 * k)
+        out.append(rp2)
+    return out
+
+
+def test_sparse_engine_matches_oracle_on_boundary_matrices():
+    torsion = []
+    for K in _oracle_complexes():
+        for M in _boundary_matrices(K):
+            got = smith_normal_form(M)
+            assert got.shape == M.shape
+            assert got.invariant_factors == snf_invariant_factors_naive(M.tolist()), K.facets
+            torsion += got.torsion_factors
+    # the suspended RP^2 torsion is found by the dense residual engine
+    assert torsion.count(2) == 2
+
+
+def test_rank_mod_p_matches_snf_rank_on_boundary_matrices():
+    for K in _oracle_complexes():
+        for M in _boundary_matrices(K):
+            f = smith_normal_form(M).invariant_factors
+            for p in (2, 3, 5):
+                assert rank_mod_p(M, p) == sum(1 for d in f if d % p), (K.facets, p)
+
+
+def test_sparse_matrix_input_matches_dense_input():
     rng = random.Random(17)
     for _ in range(60):
         M = random_matrix(rng, max_dim=7, lo=-5, hi=5)
-        m, n = len(M), len(M[0])
-        entries = [(i, j, M[i][j]) for i in range(m) for j in range(n)]
-        S = SparseColumns.from_entries((m, n), entries)
+        rows = {i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(M)}
+        S = SparseMatrix((len(M), len(M[0])), rows)
+        assert S.tolist() == M
         assert smith_normal_form(S).invariant_factors == smith_normal_form(M).invariant_factors
+        assert smith_normal_form(S.transpose()).invariant_factors == smith_normal_form(M).invariant_factors
 
 
-def test_sparse_transforms_refused():
-    S = SparseColumns.from_entries((2, 2), [(0, 0, 1)])
+def test_ragged_rows_refused():
     with pytest.raises(HypothesisError):
-        smith_normal_form(S, want_transforms=True)
+        smith_normal_form([[1, 0], [1]])
 
 
 def test_rank_mod_p():
