@@ -236,7 +236,6 @@ def analyze(
     K: SimplicialComplex,
     assertions=None,
     certify: bool = True,
-    threads: int = 1,
 ) -> list:
     """Run every applicable bound over a complex and report the outcomes.
 
@@ -254,7 +253,7 @@ def analyze(
     n = K.n_vertices
     reports = []
 
-    cert = small_link_certificate(K, threads=threads) if certify else None
+    cert = small_link_certificate(K) if certify else None
     if cert is None:
         manifold_flag = "manifold-hypothesis-unchecked"
     else:

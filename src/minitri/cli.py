@@ -71,7 +71,7 @@ def _cmd_info(args) -> int:
     print(f"vertices             {K.n_vertices}")
     print(f"facets               {len(K.facets)}")
     print(f"f-vector             {tuple(K.f_vector())}")
-    print(f"euler characteristic {euler_characteristic(K)}")
+    print(f"euler characteristic {payload['euler_characteristic']}")
     print(f"connected            {K.is_connected()}")
     print(f"closed pseudomanifold {pm.is_closed_pseudomanifold}")
     if not pm.is_closed_pseudomanifold:
@@ -82,7 +82,7 @@ def _cmd_info(args) -> int:
         if not pm.strongly_connected:
             print("  facet-adjacency graph disconnected")
     else:
-        print(f"orientable           {K.is_orientable()}")
+        print(f"orientable           {payload['orientable']}")
     return 0
 
 
@@ -162,9 +162,7 @@ def _cmd_pi1(args) -> int:
 def _cmd_bounds(args) -> int:
     K = facetio.load(args.file)
     assertions = facetio.load_assertions(args.assert_file) if args.assert_file else None
-    reports = analyze(
-        K, assertions=assertions, certify=not args.no_certify, threads=args.threads
-    )
+    reports = analyze(K, assertions=assertions, certify=not args.no_certify)
     negative = any(
         "manifold-hypothesis-rejected" in r.flags
         or any(f.startswith("contradiction") for f in r.flags)
@@ -185,7 +183,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_check_combinatorial(args) -> int:
     K = facetio.load(args.file)
-    cert = small_link_certificate(K, threads=args.threads)
+    cert = small_link_certificate(K)
     if args.json:
         _print_json({"file": args.file, "certificate": cert.as_dict()})
         return 0 if cert.verdict == "CERTIFIED" else 1
@@ -253,7 +251,7 @@ def _cmd_verify_complement(args) -> int:
 
 def _cmd_verify_local(args) -> int:
     K = facetio.load(args.file)
-    report = local_homology_sweep(K, threads=args.threads)
+    report = local_homology_sweep(K)
     if args.json:
         _print_json({"file": args.file, "check": report.as_dict()})
         return 0 if report.passed else 1
@@ -323,13 +321,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="key=value assertions file (pi1=not-free, simply-connected=true)")
     p.add_argument("--no-certify", action="store_true",
                    help="skip the combinatoriality certificate")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
 
     p = add("check-combinatorial", _cmd_check_combinatorial,
             "small-link combinatoriality certificate")
     p.add_argument("file")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
 
     p = add("verify-duality", _cmd_verify_duality,
@@ -351,7 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("verify-local", _cmd_verify_local,
             "local homology sweep over all simplex links")
     p.add_argument("file")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
 
     p = add("fixture", _cmd_fixture, "write a named fixture to a facet file")

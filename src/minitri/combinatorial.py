@@ -17,7 +17,6 @@ manifold triangulation (REJECTED).
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -111,7 +110,7 @@ def _level_simplices(K, k):
     return K.faces(K.dimension - k - 1)
 
 
-def small_link_certificate(K: SimplicialComplex, threads: int = 1) -> CombinatorialityCertificate:
+def small_link_certificate(K: SimplicialComplex) -> CombinatorialityCertificate:
     """Certify combinatoriality by checking that every link is a small sphere.
 
     Levels run over link dimension k = 1 .. d.  k <= 2 links go to the
@@ -162,26 +161,15 @@ def small_link_certificate(K: SimplicialComplex, threads: int = 1) -> Combinator
                     reject_hits.append((s, "link is not a 2-sphere"))
         else:
             method = "homology k-sphere + 3k vertex budget"
-
-            def check(item):
-                s, lk = item
-                if lk.dimension != k:
-                    return s, lk.n_vertices, False, False
-                prof = homology(lk, reduced=True)
-                return s, lk.n_vertices, prof.is_sphere(k), True
-
-            if threads > 1 and len(links) > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    results = list(pool.map(check, links))
-            else:
-                results = [check(item) for item in links]
-            for s, nv, sphere_ok, dim_ok in results:
+            for s, lk in links:
+                nv = lk.n_vertices
                 max_seen = max(max_seen, nv)
                 if nv > allowed:
                     size_hits.append((s, f"link has {nv} vertices, budget {allowed}"))
+                sphere_ok = lk.dimension == k and homology(lk, reduced=True).is_sphere(k)
                 if whole_complex:
                     top_is_homology_sphere = sphere_ok
-                elif not (dim_ok and sphere_ok):
+                elif not sphere_ok:
                     reject_hits.append((s, f"link is not a homology {k}-sphere"))
 
         if whole_complex:

@@ -17,10 +17,7 @@ through ``from_facets`` is rejected, since an empty facet file is far
 more often a mistake than a request for the empty complex.
 
 Instances are immutable; derived data (skeleta, pseudomanifold reports,
-homology profiles) is memoized on the instance.  Mutation of a cached
-value never happens after it is stored, so sharing instances between
-threads is safe under CPython's memory model: the worst case is
-recomputing an identical value twice.
+homology profiles) is memoized on the instance.
 """
 
 from __future__ import annotations

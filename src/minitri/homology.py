@@ -286,17 +286,14 @@ def cohomology(K: SimplicialComplex, coeff="Z", reduced: bool = False) -> Homolo
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
-    """Alternating face-count sum, checked against rational Betti numbers."""
-    chi = 0
-    for i in range(K.dimension + 1):
-        chi += len(K._ifaces(i)) if i % 2 == 0 else -len(K._ifaces(i))
-    prof = homology(K, "Z", reduced=False)
-    betti_chi = sum(
-        (betti if dim % 2 == 0 else -betti) for dim, betti, _ in prof.groups
-    )
-    if chi != betti_chi:
-        raise CrossCheckError(f"euler characteristic mismatch: faces {chi}, betti {betti_chi}")
-    return chi
+    """Alternating face-count sum.
+
+    The alternating sum of Betti numbers always agrees with it, so there
+    is nothing to cross-check: ``homology`` sets b_i = f_i - r_i - r_{i+1}
+    with r_i the rank of the i-th boundary map, and the ranks cancel in
+    pairs.
+    """
+    return sum(f if i % 2 == 0 else -f for i, f in enumerate(K.f_vector()))
 
 
 def is_homology_sphere(K: SimplicialComplex, d: int | None = None, coeff="Z") -> bool:

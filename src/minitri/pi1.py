@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import string
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
@@ -200,6 +200,11 @@ def _canonical_cyclic(word):
     return best
 
 
+def _once(word):
+    # Generators occurring exactly once in the word, up to sign.
+    return [g for g, c in Counter(abs(x) for x in word).items() if c == 1]
+
+
 def tietze_simplify(P: GroupPresentation, effort_budget: int = 10000) -> GroupPresentation:
     """Shrink a presentation without changing the group.
 
@@ -234,21 +239,12 @@ def tietze_simplify(P: GroupPresentation, effort_budget: int = 10000) -> GroupPr
 
         # Pick the cheapest elimination: a relator containing some
         # generator exactly once; solving for it substitutes a word of
-        # length len(r) - 1 at every other occurrence.
+        # length len(r) - 1 at the total - 1 other occurrences.
+        total = Counter(abs(x) for r in relators for x in r)
         best = None
         for ri, r in enumerate(relators):
-            counts = {}
-            for g in r:
-                counts[abs(g)] = counts.get(abs(g), 0) + 1
-            for g, c in counts.items():
-                if c != 1:
-                    continue
-                elsewhere = sum(
-                    sum(1 for x in rr if abs(x) == g)
-                    for rj, rr in enumerate(relators)
-                    if rj != ri
-                )
-                cost = (len(r) - 1, elsewhere, ri, g)
+            for g in _once(r):
+                cost = (len(r) - 1, total[g] - 1, ri, g)
                 if best is None or cost < best:
                     best = cost
         if best is not None and budget > 0:
@@ -346,8 +342,13 @@ def find_symmetric_quotient(
     (n, images) or None.  The homomorphism is nontrivial when at least
     one image is not the identity.
     """
+    return _quotient_search(P, max_degree, node_budget)[0]
+
+
+def _quotient_search(P, max_degree, node_budget):
+    # (hit or None, whether some degree ran out of node_budget).
     if P.ngens == 0:
-        return None
+        return None, False
     by_max = {}
     for r in P.relators:
         if r:
@@ -377,16 +378,18 @@ def find_symmetric_quotient(
             return False
 
         if assign(0):
-            return n, tuple(images)
+            return (n, tuple(images)), False
         if nodes > node_budget:
-            return None
-    return None
+            return None, True
+    return None, False
 
 
 @dataclass(frozen=True)
 class FreenessVerdict:
     status: str  # FREE | NOT_FREE | UNKNOWN
     rank: Optional[int]
+    # NOT_FREE: the certificate kind.  UNKNOWN: budget-exhausted:tietze,
+    # budget-exhausted:quotient-search or no-certificate-found.
     reason: Optional[str]
     certificate: Optional[dict]
     presentation: GroupPresentation
@@ -419,7 +422,9 @@ def freeness_verdict(
     FREE when simplification removes every relator.  NOT_FREE when the
     abelianization has torsion (free groups have torsion-free H_1), or
     when it is trivial yet a nontrivial finite permutation quotient
-    exists (a nontrivial perfect group is not free).  UNKNOWN otherwise.
+    exists (a nontrivial perfect group is not free).  UNKNOWN otherwise,
+    with the reason: the first budget that ran out, or
+    no-certificate-found when every search ran to completion.
     """
     Q = tietze_simplify(P, effort_budget=effort_budget)
     if not Q.relators:
@@ -428,8 +433,16 @@ def freeness_verdict(
     if ab.torsion:
         cert = {"kind": "torsion-in-H1", "torsion": ab.torsion, "presentation": Q}
         return FreenessVerdict("NOT_FREE", None, "torsion-in-H1", cert, Q)
+    # A generator occurring once in a relator is a Tietze move left
+    # undone, which tietze_simplify leaves only when its budget ran out.
+    if any(_once(r) for r in Q.relators):
+        reason = "budget-exhausted:tietze"
+    else:
+        reason = "no-certificate-found"
     if ab.trivial:
-        hit = find_symmetric_quotient(Q, max_degree=max_degree, node_budget=node_budget)
+        hit, exhausted = _quotient_search(Q, max_degree, node_budget)
+        if exhausted and reason == "no-certificate-found":
+            reason = "budget-exhausted:quotient-search"
         if hit is not None:
             n, images = hit
             cert = {
@@ -441,7 +454,7 @@ def freeness_verdict(
             return FreenessVerdict(
                 "NOT_FREE", None, "perfect-and-nontrivial-quotient", cert, Q
             )
-    return FreenessVerdict("UNKNOWN", None, None, None, Q)
+    return FreenessVerdict("UNKNOWN", None, reason, None, Q)
 
 
 def validate_not_free_certificate(verdict: FreenessVerdict) -> bool:

@@ -9,7 +9,6 @@ torsion coefficients); no maps are constructed.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -242,26 +241,11 @@ def local_homology_check(K: SimplicialComplex, simplex) -> LinkSphereCheck:
     return _link_sphere_check(K, simplex)
 
 
-def local_homology_sweep(K: SimplicialComplex, threads: int = 1) -> CheckReport:
+def local_homology_sweep(K: SimplicialComplex) -> CheckReport:
     """Run the link check at every simplex of the complex."""
     if not K.is_closed_pseudomanifold().is_closed_pseudomanifold:
         raise NotPseudomanifoldError("local homology needs a closed pseudomanifold")
-    simplices = K.all_simplices()
-    if threads > 1 and len(simplices) > 1:
-        # Links share nothing; precomputing them serially keeps the
-        # parent's face cache single-threaded.
-        items = [(s, K.link(s)) for s in simplices]
-
-        def check(item):
-            s, lk = item
-            k = K.dimension - len(s)
-            prof = homology(lk, reduced=True)
-            return LinkSphereCheck(s, k, _groups_text(prof), prof.is_sphere(k))
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = tuple(pool.map(check, items))
-    else:
-        entries = tuple(_link_sphere_check(K, s) for s in simplices)
+    entries = tuple(_link_sphere_check(K, s) for s in K.all_simplices())
     passed = all(e.passed for e in entries)
     failures = sum(1 for e in entries if not e.passed)
     notes = (f"{len(entries)} simplices checked, {failures} failures",)

@@ -2,9 +2,11 @@
 
 Deliberately slow and structurally different from the shipped code:
 recursive gcd-to-corner elimination on Python lists for Smith forms,
-determinantal-divisor ratios for small matrices, and a bare-hands
-fraction-free determinant.  If these and the library ever disagree,
-one of them is wrong and the tests should say so loudly.
+determinantal-divisor ratios for small matrices, a bare-hands
+fraction-free determinant, and Tietze simplification that recounts
+every generator over every relator for each candidate move.  If these
+and the library ever disagree, one of them is wrong and the tests
+should say so loudly.
 """
 
 from fractions import Fraction
@@ -12,6 +14,13 @@ from itertools import combinations
 from math import gcd
 
 from minitri.complexes import from_facets
+from minitri.pi1 import (
+    GroupPresentation,
+    _canonical_cyclic,
+    _cyclic_reduce,
+    _drop_generator,
+    _substitute,
+)
 
 
 def snf_invariant_factors_naive(matrix):
@@ -127,3 +136,70 @@ def suspension(K, a, b):
     return from_facets(
         [f + (a,) for f in K.facets] + [f + (b,) for f in K.facets]
     )
+
+
+def tietze_simplify_naive(P, effort_budget=10000):
+    """Tietze simplification with the occurrence count redone per candidate."""
+    ngens = P.ngens
+    relators = [_cyclic_reduce(r) for r in P.relators]
+    budget = effort_budget
+
+    changed = True
+    while changed and budget > 0:
+        changed = False
+
+        # Empty and duplicate relators say nothing.
+        seen = set()
+        kept = []
+        for r in relators:
+            if not r:
+                changed = True
+                continue
+            key = _canonical_cyclic(r)
+            if key in seen:
+                changed = True
+                continue
+            seen.add(key)
+            kept.append(r)
+        relators = kept
+
+        # Pick the cheapest elimination: a relator containing some
+        # generator exactly once; solving for it substitutes a word of
+        # length len(r) - 1 at every other occurrence.
+        best = None
+        for ri, r in enumerate(relators):
+            counts = {}
+            for g in r:
+                counts[abs(g)] = counts.get(abs(g), 0) + 1
+            for g, c in counts.items():
+                if c != 1:
+                    continue
+                elsewhere = sum(
+                    sum(1 for x in rr if abs(x) == g)
+                    for rj, rr in enumerate(relators)
+                    if rj != ri
+                )
+                cost = (len(r) - 1, elsewhere, ri, g)
+                if best is None or cost < best:
+                    best = cost
+        if best is not None and budget > 0:
+            _, _, ri, g = best
+            r = relators[ri]
+            pos = next(i for i, x in enumerate(r) if abs(x) == g)
+            # Rotate the occurrence to the front; r ~ g w  =>  g = w^-1
+            # (or g^-1 w => g = w).
+            rot = r[pos:] + r[:pos]
+            rest = rot[1:]
+            word = tuple(-x for x in reversed(rest)) if rot[0] == g else rest
+            relators = [
+                _cyclic_reduce(_substitute(rr, g, word))
+                for rj, rr in enumerate(relators)
+                if rj != ri
+            ]
+            relators = _drop_generator(relators, g)
+            ngens -= 1
+            budget -= 1
+            changed = True
+
+    relators = [r for r in relators if r]
+    return GroupPresentation(ngens=ngens, relators=tuple(sorted(set(relators))))

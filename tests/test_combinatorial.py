@@ -99,15 +99,6 @@ def test_certificate_rejects_double_suspension_via_homology():
     assert level3 and level3[0].rejections > 0
 
 
-def test_certificate_threaded_matches_serial():
-    K = fixtures.cyclic_polytope(10, 4)
-    a = small_link_certificate(K)
-    b = small_link_certificate(K, threads=4)
-    assert a.verdict == b.verdict
-    assert a.witness == b.witness
-    assert [lev.as_dict() for lev in a.levels] == [lev.as_dict() for lev in b.levels]
-
-
 def test_certificate_requires_pseudomanifold():
     with pytest.raises(NotPseudomanifoldError):
         small_link_certificate(BROKEN_PM)

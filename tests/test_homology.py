@@ -150,31 +150,14 @@ def _drop_one_rank(monkeypatch):
     monkeypatch.setattr(homology_module, "_coboundary_snf", broken)
 
 
-def _skew_betti(monkeypatch):
-    """Make homology report one Betti number too many in degree 0."""
-    real = homology_module.homology
-
-    def broken(K, coeff="Z", reduced=False):
-        prof = real(K, coeff, reduced)
-        groups = tuple((i, b + (i == 0), t) for i, b, t in prof.groups)
-        return dataclasses.replace(prof, groups=groups)
-
-    monkeypatch.setattr(homology_module, "homology", broken)
-
-
-def test_cohomology_cross_check_raises(monkeypatch):
+def test_cohomology_cross_check_raises(monkeypatch, tmp_path):
     _drop_one_rank(monkeypatch)
     with pytest.raises(CrossCheckError, match="universal coefficients"):
         cohomology(fixtures.torus_7())
-
-
-def test_euler_cross_check_raises(monkeypatch, tmp_path):
-    _skew_betti(monkeypatch)
-    with pytest.raises(CrossCheckError, match="euler characteristic"):
-        euler_characteristic(fixtures.torus_7())
-    path = tmp_path / "torus.facets"
-    facetio.dump(fixtures.torus_7(), path)
-    assert main(["info", str(path)]) == 2
+    # the duality check reads cohomology; the CLI turns the failure into exit 2
+    path = tmp_path / "c94.facets"
+    facetio.dump(fixtures.cyclic_polytope(9, 4), path)
+    assert main(["verify-duality", str(path), "--vertices", "1,2,3,4"]) == 2
 
 
 _OPTIMIZED_SCRIPT = """
@@ -182,17 +165,17 @@ import sys
 import pytest
 from minitri import fixtures
 from minitri.errors import CrossCheckError
-from minitri.homology import cohomology, euler_characteristic
-from test_homology import _drop_one_rank, _skew_betti
+from minitri.homology import cohomology
+from test_homology import _drop_one_rank
 
-for breaker, check in ((_drop_one_rank, cohomology), (_skew_betti, euler_characteristic)):
-    with pytest.MonkeyPatch.context() as mp:
-        breaker(mp)
-        try:
-            check(fixtures.torus_7())
-        except CrossCheckError:
-            continue
-    sys.exit(f"{check.__name__} did not raise")
+with pytest.MonkeyPatch.context() as mp:
+    _drop_one_rank(mp)
+    try:
+        cohomology(fixtures.torus_7())
+    except CrossCheckError:
+        pass
+    else:
+        sys.exit("cohomology did not raise")
 assert False, "asserts are stripped under -O"
 """
 

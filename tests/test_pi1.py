@@ -17,7 +17,7 @@ from minitri.pi1 import (
     validate_not_free_certificate,
 )
 
-from oracles import random_complex
+from oracles import random_complex, tietze_simplify_naive
 
 ALL_FIXTURES = [
     fixtures.boundary_simplex(2),
@@ -67,6 +67,53 @@ def test_torus_is_unknown():
     # Z x Z: torsion-free, not perfect, no luck; UNKNOWN is the honest answer
     v = freeness_verdict(edge_path_presentation(fixtures.torus_7()))
     assert v.status == "UNKNOWN"
+
+
+def test_unknown_says_why():
+    icosahedral = GroupPresentation(
+        ngens=2,
+        relators=((1, 1), (2, 2, 2), (1, 2, 1, 2, 1, 2, 1, 2, 1, 2)),
+    )
+    # A5 has no nontrivial image in S_4, so the degree-4 search is exhaustive
+    cut = freeness_verdict(icosahedral, node_budget=50)
+    assert (cut.status, cut.reason) == ("UNKNOWN", "budget-exhausted:quotient-search")
+    assert find_symmetric_quotient(icosahedral, node_budget=50) is None
+    done = freeness_verdict(icosahedral, max_degree=4)
+    assert (done.status, done.reason) == ("UNKNOWN", "no-certificate-found")
+
+    P = edge_path_presentation(fixtures.cp2_9())
+    short = freeness_verdict(P, effort_budget=2)
+    assert (short.status, short.reason) == ("UNKNOWN", "budget-exhausted:tietze")
+    assert short.presentation == tietze_simplify(P, effort_budget=2)
+    assert (short.presentation.ngens, len(short.presentation.relators)) == (26, 81)
+    assert freeness_verdict(P).status == "FREE"
+
+    torus = freeness_verdict(edge_path_presentation(fixtures.torus_7()))
+    assert (torus.status, torus.reason) == ("UNKNOWN", "no-certificate-found")
+
+
+def _oracle_presentations():
+    for K in (
+        fixtures.cp2_9(),
+        fixtures.torus_7(),
+        fixtures.rp2_6(),
+        fixtures.cyclic_polytope(9, 4),
+    ):
+        for seed in range(20):
+            yield edge_path_presentation(K, rng=seed)
+    rng = random.Random(21)
+    for _ in range(40):
+        K = random_complex(rng)
+        if K.is_connected() and K.dimension >= 1:
+            yield edge_path_presentation(K)
+
+
+@pytest.mark.parametrize("budget", [10000, 3, 1])
+def test_tietze_matches_naive_oracle(budget):
+    for P in _oracle_presentations():
+        got = tietze_simplify(P, effort_budget=budget)
+        want = tietze_simplify_naive(P, effort_budget=budget)
+        assert (got.ngens, got.relators) == (want.ngens, want.relators)
 
 
 def test_presentation_validation():

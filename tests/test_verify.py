@@ -160,14 +160,6 @@ def test_local_homology_sweep_fixtures():
         assert len(rep.entries) == sum(K.f_vector())
 
 
-def test_local_homology_sweep_threaded_matches_serial():
-    K = fixtures.cyclic_polytope(8, 4)
-    serial = local_homology_sweep(K)
-    threaded = local_homology_sweep(K, threads=4)
-    assert serial.passed and threaded.passed
-    assert len(serial.entries) == len(threaded.entries)
-
-
 def test_local_homology_sweep_catches_bad_link():
     # suspension of RP2: the two apex links are RP2, not spheres
     S = suspension(fixtures.rp2_6(), 90, 91)
