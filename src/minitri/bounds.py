@@ -6,12 +6,15 @@ the combinatoriality certificate over a complex and emits every bound
 whose hypotheses are verified or user-asserted, flagging which.  Bounds
 whose hypotheses depend on the input being a manifold triangulation
 carry the certificate outcome as a flag; a REJECTED certificate
-suppresses them entirely.
+suppresses them entirely.  Contradiction rule: every report whose lower
+bound exceeds the vertex count is flagged as a contradiction.  The
+``bound`` of ``homology-sphere-recognition`` is the 3d vertex budget,
+not a lower bound, so it is never flagged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 from typing import Optional
 
@@ -85,15 +88,6 @@ def sphere_recognition_threshold(d: int) -> int:
     return 3 * d // 2 + 2
 
 
-def _apply_floor(bound: int, d: int, flags: tuple) -> tuple:
-    # Any closed d-manifold triangulation has at least d+2 vertices; the
-    # clamp should never bind, so binding is flagged loudly.
-    floor = d + 2
-    if bound < floor:
-        return floor, flags + ("vertex-floor-clamped",)
-    return bound, flags
-
-
 def simply_connected_bound(d: int, i: int, rank_hi: int) -> BoundReport:
     """Vertex bound for a simply-connected manifold with minimal homology in degree i.
 
@@ -140,7 +134,6 @@ def simply_connected_bound(d: int, i: int, rank_hi: int) -> BoundReport:
         bound = 2 * d - i + 4
         details["case"] = "below-middle-degree"
         verdict = f"at least {bound} vertices"
-    bound, flags = _apply_floor(bound, d, flags)
     return BoundReport(
         rule="simply-connected-homology",
         verdict=verdict,
@@ -165,7 +158,6 @@ def nonfree_pi1_bound(d: int, pi1_status: str = "asserted") -> BoundReport:
         raise HypothesisError("the non-free bound needs dimension at least 3")
     bound = 3 * d + 1
     baseline = 2 * d + 3
-    bound, flags = _apply_floor(bound, d, ())
     return BoundReport(
         rule="nonfree-pi1",
         verdict=f"at least {bound} vertices",
@@ -173,7 +165,6 @@ def nonfree_pi1_bound(d: int, pi1_status: str = "asserted") -> BoundReport:
         dimension=d,
         hypotheses={"d": d, "pi1_not_free": pi1_status},
         applicable=True,
-        flags=flags,
         details={
             "baseline_nonsimply_connected": baseline,
             "baseline_note": (
@@ -242,16 +233,19 @@ def analyze(
     ``assertions`` may supply hypotheses the toolkit cannot verify
     (``pi1=not-free``, ``pi1=trivial``, ``simply-connected=true``); such
     reports are flagged as user-asserted.  Verified hypotheses always
-    come from the computation itself.  A bound exceeding the actual
-    vertex count means some hypothesis fails, and is flagged as a
-    contradiction rather than silently dropped.
+    come from the computation itself.  Every manifold-dependent report
+    carries the certificate outcome as a flag, and every one whose lower
+    bound exceeds the vertex count is flagged as a contradiction (some
+    hypothesis must fail) rather than silently dropped.  The ``bound`` of
+    ``homology-sphere-recognition`` is its 3d vertex budget, not a lower
+    bound, so it is never flagged.  A REJECTED certificate replaces all
+    manifold-dependent reports with one ``manifold-hypothesis`` stub.
     """
     if not K.is_closed_pseudomanifold().is_closed_pseudomanifold:
         raise NotPseudomanifoldError("analysis needs a closed pseudomanifold")
     asserts = dict(assertions or {})
     d = K.dimension
     n = K.n_vertices
-    reports = []
 
     cert = small_link_certificate(K) if certify else None
     if cert is None:
@@ -262,8 +256,8 @@ def analyze(
             "INCONCLUSIVE": "manifold-hypothesis-unverified",
             "REJECTED": "manifold-hypothesis-rejected",
         }[cert.verdict]
-    rejected = manifold_flag == "manifold-hypothesis-rejected"
 
+    reports = []
     reports.append(
         BoundReport(
             rule="vertex-floor",
@@ -278,7 +272,7 @@ def analyze(
     )
 
     prof = homology(K)
-    b1, t1 = prof.group(1)
+    t1 = prof.torsion(1)
 
     # Fundamental group: computed verdict first, assertions on top.
     fv = freeness_verdict(edge_path_presentation(K))
@@ -327,8 +321,6 @@ def analyze(
             details=pi1_details,
         )
     )
-
-    # Non-free fundamental group forces 3d+1 vertices.
     if d < 3:
         reports.append(
             BoundReport(
@@ -342,172 +334,8 @@ def analyze(
                 details={"H1_torsion": list(t1)} if t1 else {},
             )
         )
-    else:
-        if not_free_status and not rejected:
-            r = nonfree_pi1_bound(d, pi1_status=not_free_status)
-            flags = r.flags + (manifold_flag,)
-            if r.bound > n:
-                flags += ("contradiction: bound exceeds vertex count, a hypothesis must fail",)
-            reports.append(
-                BoundReport(
-                    rule=r.rule,
-                    verdict=r.verdict,
-                    bound=r.bound,
-                    dimension=d,
-                    hypotheses={"d": d, "pi1_not_free": not_free_status},
-                    applicable=True,
-                    flags=flags,
-                    details=r.details,
-                )
-            )
-        if n < 3 * d + 1 and not rejected:
-            reports.append(
-                BoundReport(
-                    rule="free-pi1-contrapositive",
-                    verdict="fundamental group must be free (or trivial)",
-                    bound=None,
-                    dimension=d,
-                    hypotheses={"vertices": n, "threshold": 3 * d + 1, "manifold": "see flags"},
-                    applicable=True,
-                    flags=(manifold_flag,),
-                    details={"computed_pi1": fv.status, "free_rank": fv.rank},
-                )
-            )
 
-    # 2d+3 for anything non-simply-connected.
-    if d >= 3 and nontrivial and not rejected:
-        bound = 2 * d + 3
-        reports.append(
-            BoundReport(
-                rule="nonsimply-connected-baseline",
-                verdict=f"at least {bound} vertices",
-                bound=bound,
-                dimension=d,
-                hypotheses={"d": d, "pi1_nontrivial": nontrivial},
-                applicable=True,
-                flags=(manifold_flag,),
-                details={},
-            )
-        )
-
-    # Simply-connected chain from the minimal nonzero reduced degree.
-    if simply_connected and d >= 2 and not rejected:
-        reduced = homology(K, reduced=True)
-        i_min = next(
-            (i for i in range(1, d + 1) if reduced.group(i) != (0, ())), None
-        )
-        threshold = sphere_recognition_threshold(d)
-        if i_min == d or i_min is None:
-            reports.append(
-                BoundReport(
-                    rule="sphere-recognition",
-                    verdict=f"homology trivial below the top degree: represents the {d}-sphere",
-                    bound=d + 2,
-                    dimension=d,
-                    hypotheses={"simply_connected": simply_connected},
-                    applicable=True,
-                    flags=(manifold_flag,),
-                    details={"sphere_threshold": threshold},
-                )
-            )
-        elif 2 * i_min <= d:
-            betti = reduced.betti(i_min)
-            if betti >= 1:
-                r = simply_connected_bound(d, i_min, betti)
-                hyp = dict(r.hypotheses)
-                hyp["simply_connected"] = simply_connected
-                flags = r.flags + (manifold_flag,)
-                if r.bound > n:
-                    flags += ("contradiction: bound exceeds vertex count, a hypothesis must fail",)
-                reports.append(
-                    BoundReport(
-                        rule=r.rule,
-                        verdict=r.verdict,
-                        bound=r.bound,
-                        dimension=d,
-                        hypotheses=hyp,
-                        applicable=True,
-                        flags=flags,
-                        details=r.details,
-                    )
-                )
-            else:
-                reports.append(
-                    BoundReport(
-                        rule="simply-connected-homology",
-                        verdict="minimal nonzero degree is pure torsion; rank formula not evaluated",
-                        bound=None,
-                        dimension=d,
-                        hypotheses={"i": i_min, "torsion": list(reduced.torsion(i_min))},
-                        applicable=False,
-                        flags=(manifold_flag,),
-                        details={"sphere_threshold": threshold},
-                    )
-                )
-        else:
-            reports.append(
-                BoundReport(
-                    rule="simply-connected-homology",
-                    verdict=(
-                        "minimal nonzero degree lies above the middle: inconsistent "
-                        "with a closed orientable manifold"
-                    ),
-                    bound=None,
-                    dimension=d,
-                    hypotheses={"i": i_min},
-                    applicable=False,
-                    flags=(manifold_flag,),
-                    details={},
-                )
-            )
-
-    # Non-free pi1 forces category >= 4, which has its own vertex floor.
-    if d >= 3 and not_free_status and not rejected:
-        bound = cat_vertex_bound(d, 4)
-        reports.append(
-            BoundReport(
-                rule="category-route",
-                verdict=f"category at least 4, hence at least {bound} vertices",
-                bound=bound,
-                dimension=d,
-                hypotheses={"d": d, "cat": 4, "pi1_not_free": not_free_status},
-                applicable=True,
-                flags=(manifold_flag,),
-                details={"note": "weaker than the 3d+1 route except at d=3, where both give 10"},
-            )
-        )
-
-    # Sphere recognition over Z and small prime fields.
-    if not rejected:
-        base = homology_sphere_verdict(K, "Z")
-        reports.append(
-            BoundReport(
-                rule=base.rule,
-                verdict=base.verdict,
-                bound=base.bound,
-                dimension=d,
-                hypotheses=base.hypotheses,
-                applicable=base.applicable,
-                flags=base.flags + (manifold_flag,),
-                details=base.details,
-            )
-        )
-        for coeff in ("Z2", "Z3", "Z5"):
-            r = homology_sphere_verdict(K, coeff)
-            if r.details["homology_sphere"] != base.details["homology_sphere"]:
-                reports.append(
-                    BoundReport(
-                        rule=r.rule,
-                        verdict=r.verdict,
-                        bound=r.bound,
-                        dimension=d,
-                        hypotheses=r.hypotheses,
-                        applicable=r.applicable,
-                        flags=r.flags + (manifold_flag,),
-                        details=r.details,
-                    )
-                )
-    else:
+    if cert is not None and cert.verdict == "REJECTED":
         reports.append(
             BoundReport(
                 rule="manifold-hypothesis",
@@ -523,5 +351,118 @@ def analyze(
                 details={"witness_reason": cert.witness_reason},
             )
         )
+        return reports
 
+    # Everything below assumes K triangulates a manifold.
+    dependent = []
+    if d >= 3:
+        # Non-free fundamental group forces 3d+1 vertices.
+        if not_free_status:
+            dependent.append(nonfree_pi1_bound(d, pi1_status=not_free_status))
+        if n < 3 * d + 1:
+            dependent.append(
+                BoundReport(
+                    rule="free-pi1-contrapositive",
+                    verdict="fundamental group must be free (or trivial)",
+                    bound=None,
+                    dimension=d,
+                    hypotheses={"vertices": n, "threshold": 3 * d + 1, "manifold": "see flags"},
+                    applicable=True,
+                    details={"computed_pi1": fv.status, "free_rank": fv.rank},
+                )
+            )
+        # 2d+3 for anything non-simply-connected.
+        if nontrivial:
+            dependent.append(
+                BoundReport(
+                    rule="nonsimply-connected-baseline",
+                    verdict=f"at least {2 * d + 3} vertices",
+                    bound=2 * d + 3,
+                    dimension=d,
+                    hypotheses={"d": d, "pi1_nontrivial": nontrivial},
+                    applicable=True,
+                )
+            )
+
+    # Simply-connected chain from the minimal nonzero reduced degree.
+    if simply_connected and d >= 2:
+        reduced = homology(K, reduced=True)
+        i_min = next(
+            (i for i in range(1, d + 1) if reduced.group(i) != (0, ())), None
+        )
+        threshold = sphere_recognition_threshold(d)
+        if i_min == d or i_min is None:
+            dependent.append(
+                BoundReport(
+                    rule="sphere-recognition",
+                    verdict=f"homology trivial below the top degree: represents the {d}-sphere",
+                    bound=d + 2,
+                    dimension=d,
+                    hypotheses={"simply_connected": simply_connected},
+                    applicable=True,
+                    details={"sphere_threshold": threshold},
+                )
+            )
+        elif 2 * i_min <= d:
+            betti = reduced.betti(i_min)
+            if betti >= 1:
+                r = simply_connected_bound(d, i_min, betti)
+                dependent.append(
+                    replace(r, hypotheses={**r.hypotheses, "simply_connected": simply_connected})
+                )
+            else:
+                dependent.append(
+                    BoundReport(
+                        rule="simply-connected-homology",
+                        verdict="minimal nonzero degree is pure torsion; rank formula not evaluated",
+                        bound=None,
+                        dimension=d,
+                        hypotheses={"i": i_min, "torsion": list(reduced.torsion(i_min))},
+                        applicable=False,
+                        details={"sphere_threshold": threshold},
+                    )
+                )
+        else:
+            dependent.append(
+                BoundReport(
+                    rule="simply-connected-homology",
+                    verdict=(
+                        "minimal nonzero degree lies above the middle: inconsistent "
+                        "with a closed orientable manifold"
+                    ),
+                    bound=None,
+                    dimension=d,
+                    hypotheses={"i": i_min},
+                    applicable=False,
+                )
+            )
+
+    # Non-free pi1 forces category >= 4, which has its own vertex floor.
+    if d >= 3 and not_free_status:
+        bound = cat_vertex_bound(d, 4)
+        dependent.append(
+            BoundReport(
+                rule="category-route",
+                verdict=f"category at least 4, hence at least {bound} vertices",
+                bound=bound,
+                dimension=d,
+                hypotheses={"d": d, "cat": 4, "pi1_not_free": not_free_status},
+                applicable=True,
+                details={"note": "weaker than the 3d+1 route except at d=3, where both give 10"},
+            )
+        )
+
+    # Sphere recognition over Z, and over a small prime field that disagrees.
+    base = homology_sphere_verdict(K, "Z")
+    dependent.append(base)
+    for coeff in ("Z2", "Z3", "Z5"):
+        r = homology_sphere_verdict(K, coeff)
+        if r.details["homology_sphere"] != base.details["homology_sphere"]:
+            dependent.append(r)
+
+    for r in dependent:
+        flags = r.flags + (manifold_flag,)
+        if r.rule != "homology-sphere-recognition" and r.bound is not None and r.bound > n:
+            flags += ("contradiction: bound exceeds vertex count, a hypothesis must fail",)
+        reports.append(replace(r, flags=flags))
     return reports

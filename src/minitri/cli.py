@@ -19,12 +19,7 @@ from .bounds import analyze
 from .combinatorial import small_link_certificate
 from .errors import ComplexError
 from .homology import euler_characteristic, homology
-from .pi1 import (
-    abelianization,
-    edge_path_presentation,
-    freeness_verdict,
-    tietze_simplify,
-)
+from .pi1 import abelianization, edge_path_presentation, freeness_verdict
 from .verify import (
     alexander_duality_check,
     complement_homology_check,
@@ -133,9 +128,9 @@ def _cmd_pi1(args) -> int:
     K = facetio.load(args.file)
     rng = random.Random(args.seed) if args.seed is not None else None
     P = edge_path_presentation(K, rng=rng)
-    Q = tietze_simplify(P)
-    ab = abelianization(Q)
     verdict = freeness_verdict(P)
+    Q = verdict.presentation
+    ab = abelianization(Q)
     payload = {
         "file": args.file,
         "raw": {"generators": P.ngens, "relators": len(P.relators)},

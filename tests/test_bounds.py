@@ -191,8 +191,13 @@ def test_analyze_asserted_not_free_contradiction():
     assert nf.hypotheses["pi1_not_free"] == "asserted"
     assert nf.bound == 10
     assert any(f.startswith("contradiction") for f in nf.flags)
-    assert rules["category-route"].bound == 10
-    assert rules["nonsimply-connected-baseline"].bound == 9
+    # every lower bound above the 9 vertices is flagged, and only those
+    cat = rules["category-route"]
+    assert cat.bound == 10
+    assert any(f.startswith("contradiction") for f in cat.flags)
+    base = rules["nonsimply-connected-baseline"]
+    assert base.bound == 9
+    assert not any(f.startswith("contradiction") for f in base.flags)
 
 
 def test_analyze_verified_bounds_never_exceed_vertex_count():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minitri import fixtures
 from minitri.combinatorial import (
@@ -15,6 +17,7 @@ from minitri.combinatorial import (
 from minitri.complexes import from_facets
 from minitri.errors import DimensionError, HypothesisError, NotPseudomanifoldError
 from minitri.homology import homology
+from minitri.pi1 import edge_path_presentation, freeness_verdict, validate_not_free_certificate
 
 from oracles import suspension
 
@@ -200,3 +203,44 @@ def test_moves_preserve_homology_along_random_walk():
             break
         K = apply_bistellar_move(K, rng.choice(list(moves)))
         assert homology(K).as_dict() == want
+
+
+def _stellar_subdivision(K, rng):
+    # The one bistellar move that adds a vertex, which bistellar_moves
+    # never offers; the neighborly torus_7 and rp2_6 have no flip without it.
+    facets = list(K.facets)
+    F = facets.pop(rng.randrange(len(facets)))
+    v = max(K.vertices) + 1
+    return from_facets(facets + [tuple(x for x in F if x != y) + (v,) for y in F])
+
+
+FLIP_SOURCES = {
+    "torus_7": fixtures.torus_7,
+    "rp2_6": fixtures.rp2_6,
+    "cross_polytope(3)": lambda: fixtures.cross_polytope(3),
+    "C(9,4)": lambda: fixtures.cyclic_polytope(9, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLIP_SOURCES))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_flips_preserve_verdicts(name, seed):
+    rng = random.Random(seed)
+    K = FLIP_SOURCES[name]()
+    # Dimension 2 certificates ignore the vertex count; in dimension 3
+    # flips never add a vertex, so the 3d whole-complex budget still holds.
+    if K.dimension == 2:
+        K = _stellar_subdivision(K, rng)
+    want_homology = homology(K).as_dict()
+    want_verdict = small_link_certificate(K).verdict
+    for _ in range(rng.randint(1, 6)):
+        moves = bistellar_moves(K)
+        if not moves:
+            break
+        K = apply_bistellar_move(K, rng.choice(moves))
+    assert homology(K).as_dict() == want_homology
+    assert small_link_certificate(K).verdict == want_verdict
+    fv = freeness_verdict(edge_path_presentation(K, rng=rng))
+    if fv.status == "NOT_FREE":
+        assert validate_not_free_certificate(fv)

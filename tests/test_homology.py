@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import os
@@ -188,6 +189,18 @@ def test_cross_checks_survive_optimized_mode():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips asserts, so checks in the library must raise instead
+    src = Path(__file__).parent.parent / "src" / "minitri"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_suspension_shifts_reduced_homology():
