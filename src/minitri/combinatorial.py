@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
-from .complexes import SimplicialComplex, from_facets
+from .complexes import SimplicialComplex, _memoized, from_facets
 from .errors import DimensionError, HypothesisError, NotPseudomanifoldError
 from .homology import homology
 
@@ -212,18 +211,13 @@ def small_link_certificate(K: SimplicialComplex) -> CombinatorialityCertificate:
     return cert
 
 
+@_memoized
 def certified_sphere(K: SimplicialComplex) -> bool:
     """True when the certificate proves K is a PL-sphere; cached per complex."""
     try:
-        return K._cache["pl_sphere"]
-    except KeyError:
-        pass
-    try:
-        flag = small_link_certificate(K).pl_sphere
+        return small_link_certificate(K).pl_sphere
     except NotPseudomanifoldError:
-        flag = False
-    K._cache["pl_sphere"] = flag
-    return flag
+        return False
 
 
 # -- bistellar flips -------------------------------------------------------
@@ -258,10 +252,24 @@ class BistellarResult:
 
 
 def _is_simplex_boundary(L: SimplicialComplex) -> bool:
-    # Boundary of the simplex on its vertex set: n facets of size n-1.
+    # Boundary of the simplex on its vertex set: n distinct (n-1)-sets of
+    # n vertices are all of them.
     n = L.n_vertices
     facets = L.facets
     return len(facets) == n and all(len(f) == n - 1 for f in facets)
+
+
+def _flip_cofacet(K: SimplicialComplex, face):
+    """Vertices of the simplex a flip of ``face`` adds, or None if it is illegal.
+
+    The flip is legal when lk(face) is the boundary of a simplex that is
+    missing from K.  Every facet the flip adds contains that simplex, so
+    none of them can already be in K.
+    """
+    lk = K.link(face)
+    if not _is_simplex_boundary(lk) or K.has_simplex(lk.vertices):
+        return None
+    return lk.vertices
 
 
 def bistellar_moves(K: SimplicialComplex):
@@ -270,46 +278,35 @@ def bistellar_moves(K: SimplicialComplex):
     Moves that would introduce a fresh vertex label are not generated;
     the search only ever shrinks or reshuffles the vertex set.
     """
-    d = K.dimension
     out = []
-    for fdim in range(d):
+    for fdim in range(K.dimension):
         for s in K.faces(fdim):
-            lk = K.link(s)
-            if not _is_simplex_boundary(lk):
-                continue
-            w = lk.vertices
-            if K.has_simplex(w):
-                continue
-            sset = set(s)
-            wset = set(w)
-            # Defensive: a replacement facet already present would make
-            # the flip collapse two facets into one.
-            if any(K.has_simplex(tuple((sset - {x}) | wset)) for x in s):
-                continue
-            out.append(BistellarMove(face=s, cofacet=w))
+            w = _flip_cofacet(K, s)
+            if w is not None:
+                out.append(BistellarMove(face=s, cofacet=w))
     return out
 
 
 def apply_bistellar_move(K: SimplicialComplex, move: BistellarMove) -> SimplicialComplex:
-    """Carry out one flip, returning the new complex."""
+    """Carry out one flip, returning the new complex.
+
+    Raises HypothesisError unless the move is one ``bistellar_moves``
+    would list: lk(face) must be the boundary of the missing simplex on
+    the cofacet's vertices.
+    """
     s = set(move.face)
     w = set(move.cofacet)
     if not K.has_simplex(move.face):
         raise HypothesisError(f"move face {move.face!r} is not a simplex")
-    if K.has_simplex(move.cofacet):
-        raise HypothesisError(f"move cofacet {move.cofacet!r} is already a simplex")
+    legal = _flip_cofacet(K, move.face)
+    if legal is None or set(legal) != w:
+        raise HypothesisError(
+            f"link of {move.face!r} is not the boundary of a missing simplex on {move.cofacet!r}"
+        )
     kept = [f for f in K.facets if not s <= set(f)]
     by_id = K._id_of.get
     added = [tuple(sorted((s - {x}) | w, key=by_id)) for x in s]
     return from_facets(kept + added)
-
-
-def _is_boundary_of_simplex_complex(K: SimplicialComplex) -> bool:
-    n = K.n_vertices
-    if n != K.dimension + 2:
-        return False
-    want = {tuple(sorted(c)) for c in combinations(K.vertices, n - 1)}
-    return {tuple(sorted(f)) for f in K.facets} == want
 
 
 def _move_score(move):
@@ -345,7 +342,7 @@ def bistellar_sphere_heuristic(
         applied = []
         last = None
         for _ in range(move_budget):
-            if _is_boundary_of_simplex_complex(current):
+            if _is_simplex_boundary(current):
                 return BistellarResult(
                     success=True,
                     moves=tuple(applied),
@@ -367,7 +364,7 @@ def bistellar_sphere_heuristic(
             current = apply_bistellar_move(current, pick)
             applied.append(pick)
             last = pick
-        if _is_boundary_of_simplex_complex(current):
+        if _is_simplex_boundary(current):
             return BistellarResult(
                 success=True,
                 moves=tuple(applied),

@@ -22,6 +22,7 @@ homology profiles) is memoized on the instance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -54,6 +55,32 @@ def _antichain(id_facets):
         kept.append(f)
         kept_sets.append(fs)
     return tuple(sorted(kept))
+
+
+def _memoized(method):
+    """Memoize a zero-argument accessor of a complex on the instance."""
+    key = method.__qualname__
+
+    @functools.wraps(method)
+    def cached(self):
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = method(self)
+            return value
+
+    return cached
+
+
+def _faces(id_facets, i):
+    # All i-faces as sorted id tuples, lexicographically sorted.
+    if i == -1:
+        return ((),)
+    seen = set()
+    for f in id_facets:
+        if len(f) >= i + 1:
+            seen.update(itertools.combinations(f, i + 1))
+    return tuple(sorted(seen))
 
 
 @dataclass(frozen=True)
@@ -94,6 +121,18 @@ class SimplicialComplex:
         self.dimension = max((len(f) - 1 for f in id_facets), default=-1)
         self._cache = {}
 
+    def _memo(self, key, fn, *args):
+        """``fn(*args)``, memoized on the instance under ``key``.
+
+        Every derived value of a complex is cached here or through
+        ``_memoized``; a hit costs one dict lookup.
+        """
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = fn(*args)
+            return value
+
     # -- basic accessors -------------------------------------------------
 
     @property
@@ -106,14 +145,10 @@ class SimplicialComplex:
         return len(self.labels)
 
     @property
+    @_memoized
     def facets(self):
         """Facets as label tuples, sorted by id tuple."""
-        try:
-            return self._cache["facets"]
-        except KeyError:
-            out = tuple(self._to_labels(f) for f in self._id_facets)
-            self._cache["facets"] = out
-            return out
+        return tuple(self._to_labels(f) for f in self._id_facets)
 
     def _to_labels(self, sids):
         return tuple(self.labels[i] for i in sids)
@@ -141,21 +176,7 @@ class SimplicialComplex:
 
     def _ifaces(self, i):
         """All i-faces as sorted id tuples, lexicographically sorted."""
-        key = ("ifaces", i)
-        try:
-            return self._cache[key]
-        except KeyError:
-            pass
-        if i == -1:
-            out = ((),)
-        else:
-            seen = set()
-            for f in self._id_facets:
-                if len(f) >= i + 1:
-                    seen.update(itertools.combinations(f, i + 1))
-            out = tuple(sorted(seen))
-        self._cache[key] = out
-        return out
+        return self._memo(("ifaces", i), _faces, self._id_facets, i)
 
     def faces(self, i):
         """Every i-face exactly once, as label tuples in id order.
@@ -191,17 +212,6 @@ class SimplicialComplex:
 
     # -- derived complexes -----------------------------------------------
 
-    def _child(self, id_facets):
-        """Build a subquotient complex from parent-id facets, inheriting labels."""
-        reduced = _antichain(id_facets) if id_facets else ((),)
-        used = sorted({v for f in reduced for v in f})
-        labels = tuple(self.labels[v] for v in used)
-        remap = {v: j for j, v in enumerate(used)}
-        child_facets = tuple(sorted(tuple(remap[v] for v in f) for f in reduced))
-        if not child_facets:
-            child_facets = ((),)
-        return SimplicialComplex(labels, child_facets)
-
     def _facets_containing(self, sids):
         fs = frozenset(sids)
         return [f for f, s in zip(self._id_facets, self._facet_sets) if fs <= s]
@@ -217,7 +227,7 @@ class SimplicialComplex:
         if not cofacets:
             raise MissingSimplexError(f"{tuple(simplex)!r} is not a face")
         s = set(sids)
-        return self._child([tuple(v for v in f if v not in s) for f in cofacets])
+        return _compact(self.labels, [tuple(v for v in f if v not in s) for f in cofacets])
 
     def star(self, simplex):
         """The closed star: subcomplex generated by every facet containing sigma."""
@@ -225,7 +235,7 @@ class SimplicialComplex:
         cofacets = self._facets_containing(sids)
         if not cofacets:
             raise MissingSimplexError(f"{tuple(simplex)!r} is not a face")
-        return self._child(cofacets)
+        return _compact(self.labels, cofacets)
 
     def open_star_support(self, vertex_set):
         """The set of faces meeting the given vertices.
@@ -246,7 +256,7 @@ class SimplicialComplex:
     def full_subcomplex(self, vertex_set):
         """All faces whose vertices lie inside the given vertex set."""
         vids = self._vertex_ids(vertex_set)
-        return self._child([tuple(v for v in f if v in vids) for f in self._id_facets])
+        return _compact(self.labels, [tuple(v for v in f if v in vids) for f in self._id_facets])
 
     def incremental_full_subcomplex(self, vertex_set, vertex):
         """Full subcomplex on V ∪ {v}, grown from the one on V.
@@ -262,11 +272,15 @@ class SimplicialComplex:
         if wid in vids:
             raise VertexSetError(f"vertex {vertex!r} is already in the vertex set")
         base = self.full_subcomplex(self._to_labels(sorted(vids)))
-        lk = self.link((vertex,))
-        meet = _intersect_label_facets(lk, base)
-        cone = [(vertex,) + f for f in meet]
-        combined = list(base.facets) + cone
-        return _from_label_facets(combined, self.labels)
+        # Facets of lk(v) ∩ K(V) are among the pairwise facet meets; the
+        # antichain in _from_label_facets keeps only the maximal ones.
+        base_sets = [set(g) for g in base.facets]
+        cone = [
+            (vertex, *(x for x in f if x in g))
+            for f in self.link((vertex,)).facets
+            for g in base_sets
+        ]
+        return _from_label_facets(list(base.facets) + cone, self.labels)
 
     def join(self, other):
         """Simplicial join; label sets must be disjoint.
@@ -286,43 +300,34 @@ class SimplicialComplex:
 
     # -- global structure -------------------------------------------------
 
+    @_memoized
     def is_connected(self) -> bool:
         """Connectivity through shared vertices (equivalently, edge paths)."""
-        try:
-            return self._cache["connected"]
-        except KeyError:
-            pass
         n = self.n_vertices
         if n == 0:
-            out = True
-        else:
-            parent = list(range(n))
+            return True
+        parent = list(range(n))
 
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
 
-            for f in self._id_facets:
-                for a, b in zip(f, f[1:]):
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[ra] = rb
-            out = len({find(v) for v in range(n)}) == 1
-        self._cache["connected"] = out
-        return out
+        for f in self._id_facets:
+            for a, b in zip(f, f[1:]):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
+        return len({find(v) for v in range(n)}) == 1
 
+    @_memoized
     def is_closed_pseudomanifold(self) -> PseudomanifoldReport:
         """Check purity, ridge degree 2, and strong connectivity.
 
         Results are reported, not raised: callers that require a closed
         pseudomanifold inspect the report.  Requires dimension >= 1.
         """
-        try:
-            return self._cache["pm_report"]
-        except KeyError:
-            pass
         d = self.dimension
         if d < 1:
             raise DimensionError("pseudomanifold check needs a complex of dimension >= 1")
@@ -355,25 +360,20 @@ class SimplicialComplex:
                         stack.append(nxt)
             strongly_connected = len(seen) == len(top)
 
-        report = PseudomanifoldReport(
+        return PseudomanifoldReport(
             dimension=d,
             pure=pure,
             ridge_degree_two=ridge_ok,
             strongly_connected=strongly_connected,
         )
-        self._cache["pm_report"] = report
-        return report
 
+    @_memoized
     def is_orientable(self) -> bool:
         """Coherent orientation propagation over the facet adjacency graph.
 
         Only defined for closed pseudomanifolds.  Success means every
         ridge receives opposite induced orientations from its two facets.
         """
-        try:
-            return self._cache["orientable"]
-        except KeyError:
-            pass
         report = self.is_closed_pseudomanifold()
         if not report.is_closed_pseudomanifold:
             raise NotPseudomanifoldError("orientability needs a closed pseudomanifold")
@@ -408,7 +408,6 @@ class SimplicialComplex:
                         stack.append(other)
                 if not ok:
                     break
-        self._cache["orientable"] = ok
         return ok
 
     # -- dunder ------------------------------------------------------------
@@ -421,13 +420,9 @@ class SimplicialComplex:
     def __hash__(self):
         return hash(self._label_facet_key())
 
+    @_memoized
     def _label_facet_key(self):
-        try:
-            return self._cache["facet_key"]
-        except KeyError:
-            key = frozenset(frozenset(f) for f in self.facets)
-            self._cache["facet_key"] = key
-            return key
+        return frozenset(frozenset(f) for f in self.facets)
 
     def __repr__(self):
         return f"SimplicialComplex(dim={self.dimension}, f={self.f_vector()})"
@@ -460,6 +455,21 @@ def from_facets(facets):
     return SimplicialComplex(labels, _antichain(id_facets))
 
 
+def _compact(labels, id_facets):
+    """Complex on the maximal members of ``id_facets``, ids indexing ``labels``.
+
+    Only the labels some facet uses are kept, renumbered in id order.  No
+    facets, or only empty ones, give the empty complex.
+    """
+    reduced = _antichain(id_facets) if id_facets else ((),)
+    used = sorted({v for f in reduced for v in f})
+    remap = {v: j for j, v in enumerate(used)}
+    # remap is increasing, so the antichain's lexicographic order survives
+    return SimplicialComplex(
+        tuple(labels[v] for v in used), tuple(tuple(remap[v] for v in f) for f in reduced)
+    )
+
+
 def _from_label_facets(label_facets, label_order):
     """Internal: complex from label facets, ids following ``label_order``.
 
@@ -467,33 +477,4 @@ def _from_label_facets(label_facets, label_order):
     complex); plain empty input yields the empty complex.
     """
     order = {lab: i for i, lab in enumerate(label_order)}
-    id_facets = []
-    for f in label_facets:
-        id_facets.append(tuple(sorted(order[lab] for lab in f)))
-    reduced = _antichain(id_facets) if id_facets else ((),)
-    used = sorted({v for f in reduced for v in f})
-    labels = tuple(label_order[v] for v in used)
-    remap = {v: j for j, v in enumerate(used)}
-    out_facets = tuple(sorted(tuple(remap[v] for v in f) for f in reduced))
-    if not out_facets:
-        out_facets = ((),)
-    return SimplicialComplex(labels, out_facets)
-
-
-def _intersect_label_facets(a, b):
-    """Facets of the intersection of two subcomplexes of a common parent.
-
-    Every common face lies in some pairwise intersection of facets, so
-    the antichain of those intersections generates the meet.  Returned
-    as label tuples (possibly the lone empty tuple), ordered by the
-    first operand's vertex order.
-    """
-    meets = {frozenset(f) & frozenset(g) for f in a.facets for g in b.facets}
-    kept = []
-    for s in sorted(meets, key=len, reverse=True):
-        if not any(s <= k for k in kept):
-            kept.append(s)
-    order = {lab: i for i, lab in enumerate(a.labels)}
-    out = [tuple(sorted(s, key=order.get)) for s in kept]
-    out.sort(key=lambda t: tuple(order[x] for x in t))
-    return out if out else [()]
+    return _compact(label_order, [tuple(sorted(order[lab] for lab in f)) for f in label_facets])

@@ -14,6 +14,11 @@ no torsion.  Reduced homology augments the chain complex with the empty
 simplex; the empty complex then has a single reduced group Z in
 dimension -1, which keeps duality bookkeeping uniform.
 
+Every elimination goes through ``_reduction``, the only reduction
+cache: it memoizes one result per boundary map, coefficient ring and
+orientation on the complex, so homology over Z, its reduced variant and
+the torsion read of the next degree share one SNF per map.
+
 Cohomology is computed from transposed boundary matrices with its own
 eliminations, then checked against homology via universal
 coefficients; the check is a real one because none of the transposed
@@ -24,7 +29,7 @@ CrossCheckError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
 from .errors import (
@@ -134,28 +139,19 @@ class BoundaryMatrix:
 
 
 def _build_boundary(K: SimplicialComplex, i: int, reduced: bool):
-    """Matrix of the boundary map at chain degree i (id-level, cached)."""
-    key = ("bmatrix", i, reduced if i == 0 else False)
-    try:
-        return K._cache[key]
-    except KeyError:
-        pass
+    """Matrix of the boundary map at chain degree i, over id-level faces."""
     cols = K._ifaces(i)
     if i == 0:
         if reduced:
-            M = SparseMatrix((1, len(cols)), {0: dict.fromkeys(range(len(cols)), 1)})
-        else:
-            M = SparseMatrix((0, len(cols)), {})
-    else:
-        faces = K._ifaces(i - 1)
-        index = {s: r for r, s in enumerate(faces)}
-        rows = {}
-        for c, s in enumerate(cols):
-            for j in range(i + 1):
-                rows.setdefault(index[s[:j] + s[j + 1 :]], {})[c] = -1 if j % 2 else 1
-        M = SparseMatrix((len(faces), len(cols)), rows)
-    K._cache[key] = M
-    return M
+            return SparseMatrix((1, len(cols)), {0: dict.fromkeys(range(len(cols)), 1)})
+        return SparseMatrix((0, len(cols)), {})
+    faces = K._ifaces(i - 1)
+    index = {s: r for r, s in enumerate(faces)}
+    rows = {}
+    for c, s in enumerate(cols):
+        for j in range(i + 1):
+            rows.setdefault(index[s[:j] + s[j + 1 :]], {})[c] = -1 if j % 2 else 1
+    return SparseMatrix((len(faces), len(cols)), rows)
 
 
 def boundary_matrix(K: SimplicialComplex, i: int, reduced: bool = False) -> BoundaryMatrix:
@@ -170,70 +166,53 @@ def boundary_matrix(K: SimplicialComplex, i: int, reduced: bool = False) -> Boun
     return BoundaryMatrix(i, reduced, rows, K.faces(i), M)
 
 
-def _boundary_snf(K, i, reduced):
-    key = ("bsnf", i, reduced if i == 0 else False)
-    try:
-        return K._cache[key]
-    except KeyError:
-        res = smith_normal_form(_build_boundary(K, i, reduced))
-        K._cache[key] = res
-        return res
+def _reduction(K: SimplicialComplex, i: int, reduced: bool, p=None, transposed=False):
+    """Elimination of the degree-i boundary map (or its transpose), memoized.
+
+    Smith normal form over Z (``p`` None), the rank over Z_p otherwise.
+    Only the degree-0 map depends on ``reduced``, so the key drops it
+    elsewhere.
+    """
+    reduced = reduced and i == 0
+    key = ("reduction", i, reduced, p, transposed)
+    return K._memo(key, _reduce, K, i, reduced, p, transposed)
 
 
-def _coboundary_snf(K, i, reduced):
-    key = ("cbsnf", i, reduced if i == 0 else False)
-    try:
-        return K._cache[key]
-    except KeyError:
-        res = smith_normal_form(_build_boundary(K, i, reduced).transpose())
-        K._cache[key] = res
-        return res
+def _reduce(K, i, reduced, p, transposed):
+    M = K._memo(("boundary", i, reduced), _build_boundary, K, i, reduced)
+    if transposed:
+        M = M.transpose()
+    return smith_normal_form(M) if p is None else rank_mod_p(M, p)
 
 
-def _boundary_rank_p(K, i, reduced, p, transposed=False):
-    key = ("brankp", i, reduced if i == 0 else False, p, transposed)
-    try:
-        return K._cache[key]
-    except KeyError:
-        M = _build_boundary(K, i, reduced)
-        if transposed:
-            M = M.transpose()
-        r = rank_mod_p(M, p)
-        K._cache[key] = r
-        return r
+def _rank(K, i, reduced, p, transposed):
+    # Rank of the degree-i boundary map; zero outside the chain complex.
+    if i < 0 or i > K.dimension or (i == 0 and not reduced):
+        return 0
+    r = _reduction(K, i, reduced, p, transposed)
+    return r.rank if p is None else r
 
 
 def homology(K: SimplicialComplex, coeff="Z", reduced: bool = False) -> HomologyProfile:
     """Homology profile of the complex over Z or a prime field."""
     label, p = parse_coeff(coeff)
-    key = ("hprof", label, reduced)
-    try:
-        return K._cache[key]
-    except KeyError:
-        pass
+    return K._memo(("homology", label, reduced), _homology, K, label, p, reduced)
+
+
+def _homology(K, label, p, reduced):
     dim = K.dimension
     lo = -1 if reduced else 0
-
-    def rank(i):
-        if i < 0 or i > dim or (i == 0 and not reduced):
-            return 0
-        if p is None:
-            return _boundary_snf(K, i, reduced).rank
-        return _boundary_rank_p(K, i, reduced, p)
-
     groups = []
     for i in range(lo, dim + 1):
         f_i = len(K._ifaces(i))
-        betti = f_i - rank(i) - rank(i + 1)
+        betti = f_i - _rank(K, i, reduced, p, False) - _rank(K, i + 1, reduced, p, False)
         if p is None and 1 <= i + 1 <= dim:
-            torsion = _boundary_snf(K, i + 1, reduced).torsion_factors
+            torsion = _reduction(K, i + 1, reduced).torsion_factors
         else:
             torsion = ()
         if betti or torsion:
             groups.append((i, betti, torsion))
-    profile = HomologyProfile(label, reduced, "homology", dim, tuple(groups))
-    K._cache[key] = profile
-    return profile
+    return HomologyProfile(label, reduced, "homology", dim, tuple(groups))
 
 
 def cohomology(K: SimplicialComplex, coeff="Z", reduced: bool = False) -> HomologyProfile:
@@ -245,34 +224,25 @@ def cohomology(K: SimplicialComplex, coeff="Z", reduced: bool = False) -> Homolo
     fails.
     """
     label, p = parse_coeff(coeff)
-    key = ("cprof", label, reduced)
-    try:
-        return K._cache[key]
-    except KeyError:
-        pass
+    return K._memo(("cohomology", label, reduced), _cohomology, K, label, p, reduced)
+
+
+def _cohomology(K, label, p, reduced):
     dim = K.dimension
     lo = -1 if reduced else 0
-
-    def rank_t(i):
-        if i < 0 or i > dim or (i == 0 and not reduced):
-            return 0
-        if p is None:
-            return _coboundary_snf(K, i, reduced).rank
-        return _boundary_rank_p(K, i, reduced, p, transposed=True)
-
     groups = []
     for i in range(lo, dim + 1):
         f_i = len(K._ifaces(i))
-        betti = f_i - rank_t(i) - rank_t(i + 1)
+        betti = f_i - _rank(K, i, reduced, p, True) - _rank(K, i + 1, reduced, p, True)
         if p is None and 1 <= i <= dim:
-            torsion = _coboundary_snf(K, i, reduced).torsion_factors
+            torsion = _reduction(K, i, reduced, transposed=True).torsion_factors
         else:
             torsion = ()
         if betti or torsion:
             groups.append((i, betti, torsion))
     profile = HomologyProfile(label, reduced, "cohomology", dim, tuple(groups))
 
-    hom = homology(K, coeff, reduced)
+    hom = homology(K, label, reduced)
     for i in range(lo, dim + 1):
         cb, ct = profile.group(i)
         hb, _ = hom.group(i)
@@ -281,7 +251,6 @@ def cohomology(K: SimplicialComplex, coeff="Z", reduced: bool = False) -> Homolo
         ht = hom.group(i - 1)[1]
         if ct != ht:
             raise CrossCheckError(f"universal coefficients violated at degree {i}: torsion {ct} != {ht}")
-    K._cache[key] = profile
     return profile
 
 

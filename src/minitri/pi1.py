@@ -107,9 +107,7 @@ def edge_path_presentation(K: SimplicialComplex, rng=None) -> GroupPresentation:
     if isinstance(rng, int):
         rng = random.Random(rng)
 
-    edges = [tuple(e) for e in K.faces(1)]
-    idx = {lab: i for i, lab in enumerate(K.labels)}
-    eids = sorted(tuple(sorted((idx[a], idx[b]))) for a, b in edges)
+    eids = K._ifaces(1)
     adj = {}
     for a, b in eids:
         adj.setdefault(a, []).append(b)
@@ -146,8 +144,7 @@ def edge_path_presentation(K: SimplicialComplex, rng=None) -> GroupPresentation:
 
     relators = []
     if K.dimension >= 2:
-        for tri in K.faces(2):
-            a, b, c = sorted(idx[x] for x in tri)
+        for a, b, c in K._ifaces(2):
             word = [letter(a, b), letter(b, c), letter(c, a)]
             relators.append(_free_reduce([g for g in word if g]))
 

@@ -10,7 +10,6 @@ torsion coefficients); no maps are constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .combinatorial import certified_sphere
 from .complexes import SimplicialComplex
@@ -216,7 +215,7 @@ def alexander_duality_check(
 
 
 def _link_sphere_check(K: SimplicialComplex, simplex) -> LinkSphereCheck:
-    canonical = K._to_labels(tuple(sorted(K._simplex_ids(simplex))))
+    canonical = K._to_labels(K._simplex_ids(simplex))
     lk = K.link(canonical)
     k = K.dimension - len(canonical)
     prof = homology(lk, reduced=True)

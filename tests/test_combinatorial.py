@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from minitri import fixtures
 from minitri.combinatorial import (
+    BistellarMove,
     apply_bistellar_move,
     bistellar_moves,
     bistellar_sphere_heuristic,
@@ -148,9 +149,17 @@ def test_apply_move_preserves_homology():
 def test_apply_move_rejects_stale_move():
     K = fixtures.cross_polytope(2)
     mv = bistellar_moves(K)[0]
-    L = apply_bistellar_move(K, mv)
-    with pytest.raises(HypothesisError):
-        apply_bistellar_move(L, mv)
+    T = fixtures.torus_7()
+    cases = [
+        (apply_bistellar_move(K, mv), mv),
+        # a fresh vertex: lk(facet) is empty, not the boundary of a simplex
+        (T, BistellarMove(face=T.facets[0], cofacet=(99,))),
+        # lk(1) is a hexagon, not the boundary of the triangle 2 4 6
+        (T, BistellarMove(face=(1,), cofacet=(2, 4, 6))),
+    ]
+    for L, move in cases:
+        with pytest.raises(HypothesisError):
+            apply_bistellar_move(L, move)
 
 
 def test_heuristic_octahedron_reaches_minimal():

@@ -138,17 +138,37 @@ def test_wide_cross_polytope_is_sphere(d):
     assert homology(K, reduced=True).is_sphere(d)
 
 
+def test_reductions_memoized_once_per_map(monkeypatch):
+    # Reduced homology reuses every map of degree >= 1 and reduces only the
+    # augmented degree-0 map; cohomology still runs its own transposed SNFs.
+    shapes = []
+    real = homology_module.smith_normal_form
+
+    def counting(M):
+        shapes.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(homology_module, "smith_normal_form", counting)
+    K = fixtures.cross_polytope(3)
+    f = K.f_vector()
+    homology(K)
+    homology(K, reduced=True)
+    assert shapes == [(f[i - 1], f[i]) for i in (1, 2, 3)] + [(1, f[0])]
+    cohomology(K)
+    assert shapes[4:] == [(f[i], f[i - 1]) for i in (1, 2, 3)]
+
+
 def _drop_one_rank(monkeypatch):
     """Make the degree-1 coboundary SNF report one invariant factor too few."""
-    real = homology_module._coboundary_snf
+    real = homology_module._reduction
 
-    def broken(K, i, reduced):
-        res = real(K, i, reduced)
-        if i == 1:
+    def broken(K, i, reduced, p=None, transposed=False):
+        res = real(K, i, reduced, p, transposed)
+        if transposed and p is None and i == 1:
             return dataclasses.replace(res, invariant_factors=res.invariant_factors[1:])
         return res
 
-    monkeypatch.setattr(homology_module, "_coboundary_snf", broken)
+    monkeypatch.setattr(homology_module, "_reduction", broken)
 
 
 def test_cohomology_cross_check_raises(monkeypatch, tmp_path):
@@ -200,6 +220,26 @@ def test_library_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_library_has_no_unused_imports():
+    # __init__.py imports to re-export; __future__ imports switch on features
+    src = Path(__file__).parent.parent / "src" / "minitri"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name not in read:
+                        found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
 
 
