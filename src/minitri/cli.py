@@ -17,7 +17,7 @@ import sys
 from . import facetio, fixtures
 from .bounds import analyze
 from .combinatorial import small_link_certificate
-from .errors import ComplexError
+from .errors import ComplexError, HypothesisError
 from .homology import euler_characteristic, homology
 from .pi1 import abelianization, edge_path_presentation, freeness_verdict
 from .verify import (
@@ -204,6 +204,10 @@ def _cmd_verify_duality(args) -> int:
     else:
         rng = random.Random(args.seed)
         verts = list(K.vertices)
+        if args.partitions < 1:
+            raise HypothesisError(f"--partitions must be at least 1, not {args.partitions}")
+        if len(verts) < 2:
+            raise HypothesisError(f"a partition needs two vertices; the complex has {len(verts)}")
         for _ in range(args.partitions):
             size = rng.randint(1, len(verts) - 1)
             V = tuple(rng.sample(verts, size))

@@ -6,21 +6,22 @@ row of the face obtained by deleting sigma's j-th vertex.  Faces are
 indexed in lexicographic id order, so matrices are reproducible.
 
 Each boundary matrix is built sparse, column by column, as a
-SparseMatrix of +-1 entries, and reduced by the one elimination engine
-of ``snf``.  Over Z, Betti numbers come from Smith normal form ranks and
-torsion from the invariant factors of the next boundary map.  Over a
-prime field Z_p, ranks come from the same elimination mod p and there is
-no torsion.  Reduced homology augments the chain complex with the empty
-simplex; the empty complex then has a single reduced group Z in
-dimension -1, which keeps duality bookkeeping uniform.
+SparseMatrix of +-1 entries, and reduced over Z by the Smith normal form
+of ``snf``.  Betti numbers come from its ranks and torsion from the
+invariant factors of the next boundary map.  Over a prime field Z_p
+nothing is reduced: the profile follows from the integral one by
+universal coefficients, H_i(K; Z_p) = H_i(K) (x) Z_p + Tor(H_{i-1}(K), Z_p).
+Reduced homology augments the chain complex with the empty simplex; the
+empty complex then has a single reduced group Z in dimension -1, which
+keeps duality bookkeeping uniform.
 
 Every elimination goes through ``_reduction``, the only reduction
-cache: it memoizes one result per boundary map, coefficient ring and
-orientation on the complex, so homology over Z, its reduced variant and
-the torsion read of the next degree share one SNF per map.
+cache: it memoizes one SNF per boundary map and orientation on the
+complex, so homology, its reduced variant and the torsion read of the
+next degree share one SNF per map.
 
-Cohomology is computed from transposed boundary matrices with its own
-eliminations, then checked against homology via universal
+Cohomology over Z is computed from transposed boundary matrices with
+its own eliminations, then checked against homology via universal
 coefficients; the check is a real one because none of the transposed
 reductions are shared with the homology side.  A failed check raises
 CrossCheckError.
@@ -39,7 +40,7 @@ from .errors import (
     HypothesisError,
     NotPseudomanifoldError,
 )
-from .snf import SparseMatrix, is_prime, rank_mod_p, smith_normal_form
+from .snf import SparseMatrix, is_prime, smith_normal_form
 
 _COEFF_RE = re.compile(r"[Zz](?:/)?(\d+)\Z")
 
@@ -166,57 +167,37 @@ def boundary_matrix(K: SimplicialComplex, i: int, reduced: bool = False) -> Boun
     return BoundaryMatrix(i, reduced, rows, K.faces(i), M)
 
 
-def _reduction(K: SimplicialComplex, i: int, reduced: bool, p=None, transposed=False):
-    """Elimination of the degree-i boundary map (or its transpose), memoized.
+def _reduction(K: SimplicialComplex, i: int, reduced: bool, transposed=False):
+    """Smith normal form of the degree-i boundary map (or its transpose), memoized.
 
-    Smith normal form over Z (``p`` None), the rank over Z_p otherwise.
     Only the degree-0 map depends on ``reduced``, so the key drops it
     elsewhere.
     """
     reduced = reduced and i == 0
-    key = ("reduction", i, reduced, p, transposed)
-    return K._memo(key, _reduce, K, i, reduced, p, transposed)
+    key = ("reduction", i, reduced, transposed)
+    return K._memo(key, _reduce, K, i, reduced, transposed)
 
 
-def _reduce(K, i, reduced, p, transposed):
+def _reduce(K, i, reduced, transposed):
     M = K._memo(("boundary", i, reduced), _build_boundary, K, i, reduced)
-    if transposed:
-        M = M.transpose()
-    return smith_normal_form(M) if p is None else rank_mod_p(M, p)
+    return smith_normal_form(M.transpose() if transposed else M)
 
 
-def _rank(K, i, reduced, p, transposed):
+def _rank(K, i, reduced, transposed):
     # Rank of the degree-i boundary map; zero outside the chain complex.
     if i < 0 or i > K.dimension or (i == 0 and not reduced):
         return 0
-    r = _reduction(K, i, reduced, p, transposed)
-    return r.rank if p is None else r
+    return _reduction(K, i, reduced, transposed).rank
 
 
 def homology(K: SimplicialComplex, coeff="Z", reduced: bool = False) -> HomologyProfile:
     """Homology profile of the complex over Z or a prime field."""
     label, p = parse_coeff(coeff)
-    return K._memo(("homology", label, reduced), _homology, K, label, p, reduced)
-
-
-def _homology(K, label, p, reduced):
-    dim = K.dimension
-    lo = -1 if reduced else 0
-    groups = []
-    for i in range(lo, dim + 1):
-        f_i = len(K._ifaces(i))
-        betti = f_i - _rank(K, i, reduced, p, False) - _rank(K, i + 1, reduced, p, False)
-        if p is None and 1 <= i + 1 <= dim:
-            torsion = _reduction(K, i + 1, reduced).torsion_factors
-        else:
-            torsion = ()
-        if betti or torsion:
-            groups.append((i, betti, torsion))
-    return HomologyProfile(label, reduced, "homology", dim, tuple(groups))
+    return K._memo(("homology", label, reduced), _profile, K, label, p, reduced, "homology")
 
 
 def cohomology(K: SimplicialComplex, coeff="Z", reduced: bool = False) -> HomologyProfile:
-    """Cohomology profile from transposed boundary maps.
+    """Cohomology profile, from transposed boundary maps over Z.
 
     Checks the universal-coefficient relations against homology: equal
     Betti numbers in each degree, and degree-i cohomology torsion equal
@@ -224,33 +205,41 @@ def cohomology(K: SimplicialComplex, coeff="Z", reduced: bool = False) -> Homolo
     fails.
     """
     label, p = parse_coeff(coeff)
-    return K._memo(("cohomology", label, reduced), _cohomology, K, label, p, reduced)
+    return K._memo(("cohomology", label, reduced), _profile, K, label, p, reduced, "cohomology")
 
 
-def _cohomology(K, label, p, reduced):
+def _profile(K, label, p, reduced, kind):
     dim = K.dimension
-    lo = -1 if reduced else 0
+    degrees = range(-1 if reduced else 0, dim + 1)
+    transposed = kind == "cohomology"
     groups = []
-    for i in range(lo, dim + 1):
-        f_i = len(K._ifaces(i))
-        betti = f_i - _rank(K, i, reduced, p, True) - _rank(K, i + 1, reduced, p, True)
-        if p is None and 1 <= i <= dim:
-            torsion = _reduction(K, i, reduced, transposed=True).torsion_factors
-        else:
-            torsion = ()
-        if betti or torsion:
+    if p is not None:
+        # Universal coefficients: a factor Z/t with p | t in degree j adds one
+        # to the Z_p Betti numbers in degrees j and j+1 (homology) or j-1.
+        Z = (cohomology if transposed else homology)(K, "Z", reduced)
+        step = 1 if transposed else -1
+        for i in degrees:
+            torsion = Z.torsion(i) + Z.torsion(i + step)
+            groups.append((i, Z.betti(i) + sum(1 for t in torsion if t % p == 0), ()))
+    else:
+        for i in degrees:
+            f_i = len(K._ifaces(i))
+            betti = f_i - _rank(K, i, reduced, transposed) - _rank(K, i + 1, reduced, transposed)
+            # torsion is that of the map into degree i: d_{i+1}, or d_i transposed
+            t = i if transposed else i + 1
+            torsion = _reduction(K, t, reduced, transposed).torsion_factors if 1 <= t <= dim else ()
             groups.append((i, betti, torsion))
-    profile = HomologyProfile(label, reduced, "cohomology", dim, tuple(groups))
-
-    hom = homology(K, label, reduced)
-    for i in range(lo, dim + 1):
-        cb, ct = profile.group(i)
-        hb, _ = hom.group(i)
-        if cb != hb:
-            raise CrossCheckError(f"universal coefficients violated at degree {i}: betti {cb} != {hb}")
-        ht = hom.group(i - 1)[1]
-        if ct != ht:
-            raise CrossCheckError(f"universal coefficients violated at degree {i}: torsion {ct} != {ht}")
+    profile = HomologyProfile(label, reduced, kind, dim, tuple(g for g in groups if g[1] or g[2]))
+    if kind == "cohomology":
+        hom = homology(K, label, reduced)
+        for i in degrees:
+            cb, ct = profile.group(i)
+            hb, _ = hom.group(i)
+            if cb != hb:
+                raise CrossCheckError(f"universal coefficients violated at degree {i}: betti {cb} != {hb}")
+            ht = hom.group(i - 1)[1]
+            if ct != ht:
+                raise CrossCheckError(f"universal coefficients violated at degree {i}: torsion {ct} != {ht}")
     return profile
 
 

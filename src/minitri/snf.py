@@ -1,21 +1,23 @@
-"""Exact Smith normal form and mod-p rank for integer matrices.
+"""Exact Smith normal form of integer matrices, and mod-p ranks read from it.
 
-One sparse elimination engine serves both.  The matrix is stored as a
-dict of rows and reduced by pivots taken Markowitz style: the sparsest
-column first, then the sparsest row within that column.  Over Z only
-entries +-1 are pivots, so each step is unimodular and contributes an
-invariant factor 1; over F_p every nonzero entry is a pivot.  After a
-pivot has cleared its column, its row and column are dropped.
+There is one reduction, over Z.  The matrix is stored as a dict of rows
+and reduced by pivots taken Markowitz style: the sparsest column first,
+then the sparsest row within that column.  Only entries +-1 are pivots,
+so each step is unimodular and contributes an invariant factor 1.
+After a pivot has cleared its column, its row and column are dropped.
 
 Boundary matrices have entries in {-1, 0, 1} and reduce almost entirely
-by unit pivots (Dumas, Heckenbach, Saunders and Welker 2003).  Over Z
-the small residual that has no unit entry left goes to an exact dense
+by unit pivots (Dumas, Heckenbach, Saunders and Welker 2003).  The
+small residual that has no unit entry left goes to an exact dense
 reduction: repeatedly move a minimal-magnitude pivot to the corner,
 clear its row and column with floor-division steps (Euclid through pivot
 re-selection), and absorb any entry the pivot does not divide before
 advancing, so pivots come out as invariant factors d_1 | d_2 | ...
-directly.  Over F_p nothing is left over.  Python integers are
-arbitrary precision, so no overflow guard is needed.
+directly.  Python integers are arbitrary precision, so no overflow guard
+is needed.
+
+The rank over F_p is the number of invariant factors that p does not
+divide (see ``rank_mod_p``), so no elimination runs modulo p.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ class SparseMatrix:
         return out
 
 
-def _sparse_rows(matrix, p=None):
-    """Shape and a fresh dict-of-rows copy of ``matrix``, entries reduced mod p."""
+def _sparse_rows(matrix):
+    """Shape and a fresh dict-of-rows copy of ``matrix``."""
     if isinstance(matrix, SparseMatrix):
         shape, source = matrix.shape, matrix.rows.items()
     else:
@@ -98,21 +100,16 @@ def _sparse_rows(matrix, p=None):
         source = ((i, dict(enumerate(row))) for i, row in enumerate(dense))
     rows = {}
     for i, row in source:
-        if p:
-            row = {j: v % p for j, v in row.items()}
         row = {j: v for j, v in row.items() if v}
         if row:
             rows[i] = row
     return shape, rows
 
 
-def _eliminate(rows, p=None) -> int:
-    """Pivot ``rows`` in place and return the number of pivots taken.
+def _eliminate(rows) -> int:
+    """Pivot ``rows`` in place on entries +-1 and return the number of pivots.
 
-    With ``p`` None the pivots are entries +-1 and arithmetic is over Z;
     ``rows`` is left holding the residual, which has no unit entry.
-    Otherwise entries are residues mod p, any nonzero entry is a pivot
-    and ``rows`` is left empty.
     """
     cols = {}
     for i, row in rows.items():
@@ -131,7 +128,7 @@ def _eliminate(rows, p=None) -> int:
             continue
         best = None
         for i in col:
-            if p is None and rows[i][j] not in (1, -1):
+            if rows[i][j] not in (1, -1):
                 continue
             size = len(rows[i])
             if best is None or size < best_size:
@@ -139,20 +136,17 @@ def _eliminate(rows, p=None) -> int:
         if best is None:
             continue
         prow = rows.pop(best)
-        u = prow.pop(j)
-        inv = u if p is None else pow(u, p - 2, p)
+        u = prow.pop(j)  # +-1, its own inverse
         col.discard(best)
         for c in prow:
             cols[c].discard(best)
         items = prow.items()
         for k in col:
             row = rows[k]
-            f = row.pop(j) * inv
+            f = row.pop(j) * u
             for c, v in items:
                 old = row.get(c)
                 new = (old or 0) - f * v
-                if p is not None:
-                    new %= p
                 if new:
                     if old is None:
                         cols[c].add(k)
@@ -255,11 +249,15 @@ def _snf_dense_python(rows, shape):
 
 
 def rank_mod_p(matrix, p: int) -> int:
-    """Rank of an integer matrix over the field with p elements."""
+    """Rank of an integer matrix over the field with p elements.
+
+    Counts the invariant factors that p does not divide.  U A V = D with
+    U and V unimodular and D the Smith normal form; unimodular matrices
+    stay invertible mod p, so A and D have the same rank over F_p.
+    """
     if not is_prime(p):
         raise CoefficientError(f"{p} is not prime")
-    _, rows = _sparse_rows(matrix, p)
-    return _eliminate(rows, p)
+    return sum(1 for d in smith_normal_form(matrix).invariant_factors if d % p)
 
 
 def is_prime(p: int) -> bool:

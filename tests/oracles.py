@@ -3,7 +3,8 @@
 Deliberately slow and structurally different from the shipped code:
 recursive gcd-to-corner elimination on Python lists for Smith forms,
 determinantal-divisor ratios for small matrices, a bare-hands
-fraction-free determinant, and Tietze simplification that recounts
+fraction-free determinant, dense Gaussian elimination over F_p for
+mod-p ranks, and Tietze simplification that recounts
 every generator over every relator for each candidate move.  If these
 and the library ever disagree, one of them is wrong and the tests
 should say so loudly.
@@ -112,6 +113,24 @@ def determinantal_divisor_factors(matrix):
         factors.append(g // prev)
         prev = g
     return tuple(factors)
+
+
+def rank_mod_p_naive(matrix, p):
+    """Rank over F_p by dense row reduction with Fermat inverses; p prime."""
+    A = [[int(x) % p for x in row] for row in matrix]
+    rank = 0
+    for c in range(len(A[0]) if A else 0):
+        pivot = next((r for r in range(rank, len(A)) if A[r][c]), None)
+        if pivot is None:
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        inv = pow(A[rank][c], p - 2, p)
+        for r in range(rank + 1, len(A)):
+            if A[r][c]:
+                f = A[r][c] * inv % p
+                A[r] = [(a - f * b) % p for a, b in zip(A[r], A[rank])]
+        rank += 1
+    return rank
 
 
 def random_matrix(rng, max_dim=8, lo=-9, hi=9):

@@ -143,6 +143,22 @@ def test_verify_duality_needs_sphere(rp2_file):
     assert main(["verify-duality", rp2_file, "--partitions", "2"]) == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_duality_refuses_no_partitions(c94_file, n, capsys):
+    assert main(["verify-duality", c94_file, "--partitions", n]) == 2
+    assert main(["verify-duality", c94_file, "--partitions", n, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--partitions" in captured.err
+
+
+def test_verify_duality_one_vertex(tmp_path, capsys):
+    path = tmp_path / "point.facets"
+    path.write_text("1\n")
+    assert main(["verify-duality", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_verify_complement(rp2_file, capsys):
     assert main(["verify-complement", rp2_file, "--facet", "1,2,4"]) == 0
     out = capsys.readouterr().out

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from minitri import facetio, fixtures
+from minitri.bounds import homology_sphere_verdict
 from minitri.cli import main
 from minitri.complexes import from_facets
 from minitri.errors import CoefficientError, CrossCheckError
@@ -22,10 +23,11 @@ from minitri.homology import (
     is_homology_sphere,
 )
 
-from oracles import random_complex, suspension
+from oracles import rank_mod_p_naive, random_complex, suspension
 
 # the package attribute minitri.homology is the function, not the module
 homology_module = importlib.import_module("minitri.homology")
+snf_module = importlib.import_module("minitri.snf")
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -162,9 +164,9 @@ def _drop_one_rank(monkeypatch):
     """Make the degree-1 coboundary SNF report one invariant factor too few."""
     real = homology_module._reduction
 
-    def broken(K, i, reduced, p=None, transposed=False):
-        res = real(K, i, reduced, p, transposed)
-        if transposed and p is None and i == 1:
+    def broken(K, i, reduced, transposed=False):
+        res = real(K, i, reduced, transposed)
+        if transposed and i == 1:
             return dataclasses.replace(res, invariant_factors=res.invariant_factors[1:])
         return res
 
@@ -265,6 +267,64 @@ def test_cohomology_uct_on_fixtures():
         for i in range(K.dimension + 1):
             assert c.betti(i) == h.betti(i)
             assert c.torsion(i) == h.torsion(i - 1)
+
+
+def _field_complexes():
+    rng = random.Random(606)
+    out = []
+    for _ in range(8):
+        K = random_complex(rng)
+        out += [K, suspension(K, 101, 102)]
+    K = fixtures.rp2_6()
+    for k in range(4):
+        out.append(K)  # Sigma^k RP^2: Z/2 in degree k + 1
+        K = suspension(K, 200 + 2 * k, 201 + 2 * k)
+    return out + [fixtures.cp2_9()]
+
+
+def test_field_profiles_match_oracle_ranks():
+    # b_i = f_i - r_i - r_{i+1} with F_p ranks of the boundary maps from the
+    # dense oracle, against profiles derived by universal coefficients
+    for K in _field_complexes():
+        dim = K.dimension
+        f = {-1: 1, **dict(enumerate(K.f_vector()))}
+        for p in (2, 3, 5, 7):
+            r = {i: rank_mod_p_naive(boundary_matrix(K, i).matrix.tolist(), p) for i in range(1, dim + 1)}
+            for reduced in (False, True):
+                r[0] = rank_mod_p_naive(boundary_matrix(K, 0, reduced).matrix.tolist(), p)
+                lo = -1 if reduced else 0
+                expected = [(i, f[i] - r.get(i, 0) - r.get(i + 1, 0), ()) for i in range(lo, dim + 1)]
+                expected = tuple(g for g in expected if g[1])
+                for fn in (homology, cohomology):
+                    assert fn(K, f"Z{p}", reduced).groups == expected, (fn.__name__, K.facets, p, reduced)
+
+
+def test_field_profiles_run_no_elimination(monkeypatch):
+    # once the Z profiles are memoized, every Z_p profile is read off them
+    calls = []
+    real = snf_module._eliminate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(snf_module, "_eliminate", counting)
+    K = suspension(fixtures.rp2_6(), 7, 8)
+    homology(K)
+    cohomology(K)
+    assert calls
+    calls.clear()
+    for coeff in ("Z2", "Z3", "Z5"):
+        homology(K, coeff)
+        cohomology(K, coeff)
+    assert calls == []
+    # the sphere reports analyze makes after its reduced Z homology
+    K = fixtures.cyclic_polytope(9, 4)
+    homology(K, reduced=True)
+    calls.clear()
+    for coeff in ("Z2", "Z3", "Z5"):
+        assert homology_sphere_verdict(K, coeff).details["homology_sphere"]
+    assert calls == []
 
 
 def test_cohomology_mod_p_symmetric():
