@@ -213,7 +213,13 @@ def small_link_certificate(K: SimplicialComplex) -> CombinatorialityCertificate:
 
 @_memoized
 def certified_sphere(K: SimplicialComplex) -> bool:
-    """True when the certificate proves K is a PL-sphere; cached per complex."""
+    """True when the certificate proves K is a PL-sphere; cached per complex.
+
+    The certificate needs links, so a complex of dimension below 1 is
+    never certified.
+    """
+    if K.dimension < 1:
+        return False
     try:
         return small_link_certificate(K).pl_sphere
     except NotPseudomanifoldError:

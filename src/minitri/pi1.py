@@ -329,15 +329,42 @@ def _relator_image(word, images, n):
     return acc
 
 
+def _partitions(n, largest):
+    # Partitions of n into parts of at most `largest`, largest parts first.
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _cycle_type_representatives(n):
+    # One permutation of range(n) per conjugacy class of S_n: the parts
+    # of each partition as consecutive cycles, so 1^n gives the identity.
+    reps = []
+    for parts in _partitions(n, n):
+        p, start = [], 0
+        for k in parts:
+            p.extend(start + (j + 1) % k for j in range(k))
+            start += k
+        reps.append(tuple(p))
+    return reps
+
+
 def find_symmetric_quotient(
     P: GroupPresentation, max_degree: int = 5, node_budget: int = 500000
 ):
     """Search for a nontrivial homomorphism to S_n, n <= max_degree.
 
-    Backtracking over generator images in index order; a relator is
-    checked as soon as its highest generator is assigned.  Returns
-    (n, images) or None.  The homomorphism is nontrivial when at least
-    one image is not the identity.
+    Backtracking over generator images in index order.  Conjugating a
+    homomorphism by any element of S_n keeps it nontrivial, so the first
+    generator is tried only on one permutation per cycle type; the
+    others range over all of S_n, and each degree is still searched
+    exhaustively.  A relator is checked as soon as its highest generator
+    is assigned, shortest relators first.  Returns (n, images) or None.
+    The homomorphism is nontrivial when at least one image is not the
+    identity.
     """
     return _quotient_search(P, max_degree, node_budget)[0]
 
@@ -347,13 +374,13 @@ def _quotient_search(P, max_degree, node_budget):
     if P.ngens == 0:
         return None, False
     by_max = {}
-    for r in P.relators:
-        if r:
-            by_max.setdefault(max(abs(g) for g in r), []).append(r)
+    for r in sorted((r for r in P.relators if r), key=len):
+        by_max.setdefault(max(abs(g) for g in r), []).append(r)
 
     for n in range(2, max_degree + 1):
         ident = tuple(range(n))
         perms = list(permutations(range(n)))
+        first = _cycle_type_representatives(n)
         images = [ident] * P.ngens
         nodes = 0
 
@@ -361,7 +388,7 @@ def _quotient_search(P, max_degree, node_budget):
             nonlocal nodes
             if i == P.ngens:
                 return any(img != ident for img in images)
-            for p in perms:
+            for p in first if i == 0 else perms:
                 nodes += 1
                 if nodes > node_budget:
                     return False
@@ -461,18 +488,21 @@ def validate_not_free_certificate(verdict: FreenessVerdict) -> bool:
     cert = verdict.certificate
     Q = cert["presentation"]
     if cert["kind"] == "torsion-in-H1":
+        torsion = cert["torsion"]
+        if not torsion or any(not isinstance(t, int) or t < 2 for t in torsion):
+            return False
         factors = abelianization(Q).torsion
-        return all(
-            any(t == f or f % t == 0 for f in factors) for t in cert["torsion"]
-        ) and bool(cert["torsion"])
+        return all(any(f % t == 0 for f in factors) for t in torsion)
     if cert["kind"] == "perfect-and-nontrivial-quotient":
-        n, images = cert["degree"], cert["images"]
+        n, images = cert["degree"], [tuple(p) for p in cert["images"]]
+        if not isinstance(n, int) or n < 2 or len(images) != Q.ngens:
+            return False
         ident = tuple(range(n))
-        if len(images) != Q.ngens:
+        if any(tuple(sorted(p)) != ident for p in images):
             return False
         if all(p == ident for p in images):
             return False
         if not abelianization(Q).trivial:
             return False
-        return all(_relator_image(r, list(images), n) == ident for r in Q.relators)
+        return all(_relator_image(r, images, n) == ident for r in Q.relators)
     return False

@@ -4,14 +4,16 @@ Deliberately slow and structurally different from the shipped code:
 recursive gcd-to-corner elimination on Python lists for Smith forms,
 determinantal-divisor ratios for small matrices, a bare-hands
 fraction-free determinant, dense Gaussian elimination over F_p for
-mod-p ranks, and Tietze simplification that recounts
-every generator over every relator for each candidate move.  If these
+mod-p ranks, Tietze simplification that recounts
+every generator over every relator for each candidate move, and a
+quotient search that tries every permutation for every generator and
+checks relators in the order given.  If these
 and the library ever disagree, one of them is wrong and the tests
 should say so loudly.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 from minitri.complexes import from_facets
@@ -20,6 +22,7 @@ from minitri.pi1 import (
     _canonical_cyclic,
     _cyclic_reduce,
     _drop_generator,
+    _relator_image,
     _substitute,
 )
 
@@ -222,3 +225,45 @@ def tietze_simplify_naive(P, effort_budget=10000):
 
     relators = [r for r in relators if r]
     return GroupPresentation(ngens=ngens, relators=tuple(sorted(set(relators))))
+
+
+def quotient_search_naive(P, max_degree, node_budget):
+    """Homomorphisms to S_n by trying all of S_n for every generator.
+
+    Returns (hit or None, whether some degree ran out of node_budget).
+    """
+    if P.ngens == 0:
+        return None, False
+    by_max = {}
+    for r in P.relators:
+        if r:
+            by_max.setdefault(max(abs(g) for g in r), []).append(r)
+
+    for n in range(2, max_degree + 1):
+        ident = tuple(range(n))
+        perms = list(permutations(range(n)))
+        images = [ident] * P.ngens
+        nodes = 0
+
+        def assign(i):
+            nonlocal nodes
+            if i == P.ngens:
+                return any(img != ident for img in images)
+            for p in perms:
+                nodes += 1
+                if nodes > node_budget:
+                    return False
+                images[i] = p
+                ok = all(
+                    _relator_image(r, images, n) == ident for r in by_max.get(i + 1, ())
+                )
+                if ok and assign(i + 1):
+                    return True
+            images[i] = ident
+            return False
+
+        if assign(0):
+            return (n, tuple(images)), False
+        if nodes > node_budget:
+            return None, True
+    return None, False

@@ -159,6 +159,13 @@ def test_verify_duality_one_vertex(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_verify_duality_on_zero_sphere(tmp_path, capsys):
+    path = tmp_path / "s0.facets"
+    path.write_text("1\n2\n")
+    assert main(["verify-duality", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: duality needs a certified PL-sphere")
+
+
 def test_verify_complement(rp2_file, capsys):
     assert main(["verify-complement", rp2_file, "--facet", "1,2,4"]) == 0
     out = capsys.readouterr().out

@@ -124,6 +124,11 @@ def test_certified_sphere_gate():
     assert not certified_sphere(BROKEN_PM)
 
 
+def test_certified_sphere_needs_positive_dimension():
+    # S^0 has no links to certify; the gate says no instead of raising.
+    assert certified_sphere(from_facets([(1,), (2,)])) is False
+
+
 def test_no_moves_on_minimal_sphere():
     # every candidate replacement simplex is already present
     assert list(bistellar_moves(fixtures.boundary_simplex(3))) == []

@@ -9,6 +9,9 @@ from minitri.homology import homology
 from minitri.pi1 import (
     FreenessVerdict,
     GroupPresentation,
+    _free_reduce,
+    _quotient_search,
+    _relator_image,
     abelianization,
     edge_path_presentation,
     find_symmetric_quotient,
@@ -17,7 +20,14 @@ from minitri.pi1 import (
     validate_not_free_certificate,
 )
 
-from oracles import random_complex, tietze_simplify_naive
+from oracles import quotient_search_naive, random_complex, tietze_simplify_naive
+
+# Perfect groups and the least degree of a nontrivial permutation image.
+A5 = GroupPresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 5))
+# <x, y | x^3 = y^5 = (xy)^2> as x^3 y^-5 and y^4 x^-1 y^-1 x^-1.
+BINARY_ICOSAHEDRAL = GroupPresentation(2, ((1, 1, 1) + (-2,) * 5, (2, 2, 2, 2, -1, -2, -1)))
+PSL27 = GroupPresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 7, (-1, -2, 1, 2) * 4))
+PERFECT = ((A5, 5), (BINARY_ICOSAHEDRAL, 5), (PSL27, 7))
 
 ALL_FIXTURES = [
     fixtures.boundary_simplex(2),
@@ -218,6 +228,86 @@ def test_forged_perfect_certificate_rejected():
     }
     forged = FreenessVerdict("NOT_FREE", None, cert["kind"], cert, Q)
     assert not validate_not_free_certificate(forged)
+
+
+def test_forged_certificates_rejected():
+    # <a | a^-1> is the trivial group, free of rank 0; (1, 1) is no
+    # permutation, though its "inverse" computes to the identity.
+    trivial = GroupPresentation(1, ((-1,),))
+    z2 = GroupPresentation(1, ((1, 1),))
+    forged = [
+        ("perfect-and-nontrivial-quotient", trivial, {"degree": 2, "images": ((1, 1),)}),
+        ("perfect-and-nontrivial-quotient", trivial, {"degree": 3, "images": ((0, 1, 5),)}),
+        # The identity as a list must still count as the identity.
+        ("perfect-and-nontrivial-quotient", trivial, {"degree": 2, "images": ([0, 1],)}),
+        ("torsion-in-H1", z2, {"torsion": (0,)}),
+    ]
+    for kind, Q, fields in forged:
+        cert = {"kind": kind, "presentation": Q, **fields}
+        assert validate_not_free_certificate(FreenessVerdict("NOT_FREE", None, kind, cert, Q)) is False
+
+
+def _assert_homomorphism(P, hit):
+    n, images = hit
+    ident = tuple(range(n))
+    assert all(tuple(sorted(p)) == ident for p in images)
+    assert any(p != ident for p in images)
+    assert all(_relator_image(r, images, n) == ident for r in P.relators)
+
+
+def _random_presentations(count, seed, odd=False):
+    # 2 generators, 1-3 relators of length <= 8.  With odd=True only
+    # groups with no image in S_2 (finite H_1 of odd order) are kept.
+    rng = random.Random(seed)
+    letters = (1, -1, 2, -2)
+    while count:
+        words = (
+            _free_reduce(rng.choice(letters) for _ in range(rng.randint(1, 8)))
+            for _ in range(rng.randint(1, 3))
+        )
+        relators = tuple(w for w in words if w)
+        if not relators:
+            continue
+        P = GroupPresentation(2, relators)
+        if odd:
+            ab = abelianization(P)
+            if ab.rank or any(t % 2 == 0 for t in ab.torsion):
+                continue
+        count -= 1
+        yield P
+
+
+def test_quotient_search_matches_naive_oracle():
+    cases = [(P, degree) for P, degree in PERFECT]
+    cases += [(P, 5) for P in _random_presentations(30, seed=7)]
+    cases += [(P, 4) for P in _random_presentations(40, seed=8, odd=True)]
+    cases += [(P, 5) for P in _random_presentations(10, seed=9, odd=True)]
+    for P, top in cases:
+        want, cut = quotient_search_naive(P, top, node_budget=10**6)
+        assert not cut
+        # Degrees are searched in increasing order, so the oracle's hit at
+        # the top degree fixes its answer at every smaller max_degree.
+        for max_degree in range(2, top + 1):
+            got, cut = _quotient_search(P, max_degree, node_budget=10**6)
+            assert not cut
+            expected = want[0] if want and want[0] <= max_degree else None
+            assert (got and got[0]) == expected
+            if got:
+                _assert_homomorphism(P, got)
+    for P, degree in PERFECT:
+        v = freeness_verdict(P, max_degree=degree)
+        assert v.certificate["degree"] == degree
+        assert validate_not_free_certificate(v)
+
+
+def test_quotient_search_node_count():
+    # PSL(2,7) has no nontrivial image below S_7.  Trying all of S_n for
+    # the first generator needs 55440 nodes at degree 6 alone; one image
+    # per cycle type keeps every degree under 10000.
+    found = find_symmetric_quotient(PSL27, max_degree=7, node_budget=10_000)
+    assert found is not None and found[0] == 7
+    v = freeness_verdict(PSL27, max_degree=7, node_budget=10_000)
+    assert v.certificate["degree"] == 7 and validate_not_free_certificate(v)
 
 
 def test_edge_path_needs_connected_positive_dimension():
