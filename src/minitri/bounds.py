@@ -219,8 +219,23 @@ def homology_sphere_verdict(K: SimplicialComplex, coeff: str = "Z") -> BoundRepo
     )
 
 
-def _truthy(value) -> bool:
-    return str(value).strip().lower() in ("1", "true", "yes", "on")
+_YES = ("true", "yes", "on", "1")
+_ASSERTION_VALUES = {
+    "pi1": ("not-free", "free", "trivial"),
+    "simply-connected": _YES + ("false", "no", "off", "0"),
+}
+
+
+def _read_assertions(assertions) -> dict:
+    """Assertion values, lowercased; HypothesisError on an unknown key or value."""
+    out = {}
+    for key, value in (assertions or {}).items():
+        value = str(value).strip().lower()
+        if value not in _ASSERTION_VALUES.get(key, ()):
+            known = "; ".join(f"{k}={'|'.join(v)}" for k, v in _ASSERTION_VALUES.items())
+            raise HypothesisError(f"unknown assertion {key}={value!r}; known: {known}")
+        out[key] = value
+    return out
 
 
 def analyze(
@@ -231,8 +246,9 @@ def analyze(
     """Run every applicable bound over a complex and report the outcomes.
 
     ``assertions`` may supply hypotheses the toolkit cannot verify
-    (``pi1=not-free``, ``pi1=trivial``, ``simply-connected=true``); such
-    reports are flagged as user-asserted.  Verified hypotheses always
+    (``pi1`` one of not-free, free, trivial; ``simply-connected`` a yes or
+    no word); such reports are flagged as user-asserted, and an unknown
+    key or value raises HypothesisError.  Verified hypotheses always
     come from the computation itself.  Every manifold-dependent report
     carries the certificate outcome as a flag, and every one whose lower
     bound exceeds the vertex count is flagged as a contradiction (some
@@ -241,9 +257,9 @@ def analyze(
     bound, so it is never flagged.  A REJECTED certificate replaces all
     manifold-dependent reports with one ``manifold-hypothesis`` stub.
     """
+    asserts = _read_assertions(assertions)
     if not K.is_closed_pseudomanifold().is_closed_pseudomanifold:
         raise NotPseudomanifoldError("analysis needs a closed pseudomanifold")
-    asserts = dict(assertions or {})
     d = K.dimension
     n = K.n_vertices
 
@@ -276,8 +292,8 @@ def analyze(
 
     # Fundamental group: computed verdict first, assertions on top.
     fv = freeness_verdict(edge_path_presentation(K))
-    pi1_assert = str(asserts.get("pi1", "")).strip().lower()
-    sc_asserted = _truthy(asserts.get("simply-connected", "")) or pi1_assert == "trivial"
+    pi1_assert = asserts.get("pi1", "")
+    sc_asserted = asserts.get("simply-connected") in _YES or pi1_assert == "trivial"
 
     not_free_status = None
     if fv.status == "NOT_FREE":

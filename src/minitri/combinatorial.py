@@ -1,12 +1,12 @@
 """Combinatoriality certificates plus low-dimension sphere recognizers.
 
-The certificate sweeps links by codimension.  Links of dimension 1 and 2
-go to direct recognizers; higher links must be integer homology spheres
-and must fit a 3k vertex budget, k the link dimension.  For d >= 3 the
-sweep ends at the empty simplex, whose link is the complex itself: the
-same budget applied there means a CERTIFIED complex that is also a
-homology sphere is a PL-sphere outright, which is what
-``alexander_duality_check`` relies on.
+The certificate sweeps the proper links by dimension, building each link
+once.  Circles and 2-spheres are read off the memoized closed-pseudomanifold
+report and the Euler characteristic; higher links must be integer homology
+spheres and must fit a 3k vertex budget, k the link dimension.  For d >= 3
+the budget also holds the complex itself (the link of the empty simplex)
+to 3d vertices, so a CERTIFIED complex that is also a homology sphere is
+a PL-sphere outright, which is what ``alexander_duality_check`` relies on.
 
 Size violations and homology violations are kept apart on purpose.  An
 oversized link only exits the hypothesis of the certification criterion
@@ -26,34 +26,30 @@ from .homology import homology
 
 
 def recognize_circle(K: SimplicialComplex) -> bool:
-    """True iff K is a triangulated circle: connected, every vertex degree 2."""
+    """True iff K is a triangulated circle.
+
+    In dimension 1 a closed pseudomanifold is exactly that: every facet
+    an edge, every vertex on two edges, and the edges connected.
+    """
     if K.dimension != 1:
         raise DimensionError(f"circle recognition needs dimension 1, got {K.dimension}")
-    degree = dict.fromkeys(K.vertices, 0)
-    for f in K.facets:
-        if len(f) != 2:
-            return False
-        degree[f[0]] += 1
-        degree[f[1]] += 1
-    return all(c == 2 for c in degree.values()) and K.is_connected()
+    return K.is_closed_pseudomanifold().is_closed_pseudomanifold
 
 
 def recognize_2sphere(K: SimplicialComplex) -> bool:
-    """True iff K is a triangulated 2-sphere.
+    """True iff K is a triangulated 2-sphere: a closed pseudomanifold with chi = 2.
 
-    Closed pseudomanifold, connected, all vertex links circles, Euler
-    characteristic 2.  These conditions characterize S^2 exactly.
+    In a closed 2-pseudomanifold every edge lies on two triangles, so each
+    vertex link is a disjoint union of c_v >= 1 circles.  Splitting every
+    pinched vertex into c_v copies gives a closed surface N, connected
+    because K is strongly connected, with chi(N) = chi(K) + sum(c_v - 1)
+    <= 2.  So chi(K) = 2 forces every c_v = 1, hence N = K, and
+    chi(N) = 2 makes N the 2-sphere.
     """
     if K.dimension != 2:
         raise DimensionError(f"2-sphere recognition needs dimension 2, got {K.dimension}")
     if not K.is_closed_pseudomanifold().is_closed_pseudomanifold:
         return False
-    if not K.is_connected():
-        return False
-    for v in K.vertices:
-        lk = K.link((v,))
-        if lk.dimension != 1 or not recognize_circle(lk):
-            return False
     f0, f1, f2 = K.f_vector()
     return f0 - f1 + f2 == 2
 
@@ -102,113 +98,88 @@ class CombinatorialityCertificate:
         }
 
 
-def _level_simplices(K, k):
-    # Simplices whose link should be a k-sphere; the empty simplex for k = dim.
-    if k == K.dimension:
-        return ((),)
-    return K.faces(K.dimension - k - 1)
+def _level_test(k):
+    """(method, sphere name, sphere test) for the level of k-dimensional links."""
+    if k == 1:
+        return "circle recognizer", "circle", recognize_circle
+    if k == 2:
+        return "2-sphere recognizer", "2-sphere", recognize_2sphere
+    return (
+        "homology k-sphere + 3k vertex budget",
+        f"homology {k}-sphere",
+        lambda L: homology(L, reduced=True).is_sphere(k),
+    )
 
 
 def small_link_certificate(K: SimplicialComplex) -> CombinatorialityCertificate:
     """Certify combinatoriality by checking that every link is a small sphere.
 
-    Levels run over link dimension k = 1 .. d.  k <= 2 links go to the
-    recognizers and any failure is a REJECTED verdict (such a link cannot
-    occur in a manifold).  k >= 3 links must be Z-homology k-spheres
-    (REJECTED otherwise) on at most 3k vertices (INCONCLUSIVE otherwise).
-    The k = d level is the complex itself; only its size budget counts
-    toward the verdict, and passing it together with the homology-sphere
-    test upgrades a CERTIFIED complex to a certified PL-sphere.
+    Levels run over link dimension k = 1 .. d-1, one link per (d-k-1)-face.
+    A link that is not a k-sphere (by the recognizers for k <= 2, by
+    Z-homology above) cannot occur in a manifold: REJECTED.  A k >= 3 link
+    on more than 3k vertices exits the criterion's hypothesis: INCONCLUSIVE,
+    outranked by any rejection.  For d >= 3 a size-only last level holds
+    the whole complex to 3d vertices; passing it with the homology of a
+    d-sphere upgrades a CERTIFIED complex to a certified PL-sphere.
     """
-    report = K.is_closed_pseudomanifold()
-    if not report.is_closed_pseudomanifold:
+    if not K.is_closed_pseudomanifold().is_closed_pseudomanifold:
         raise NotPseudomanifoldError("certification needs a closed pseudomanifold")
     d = K.dimension
-
-    levels = []
-    first_rejection = None
-    first_size = None
-    top_is_homology_sphere = False
-    top_size_ok = True
-
-    for k in range(1, d + 1):
-        whole_complex = k == d
-        simplices = _level_simplices(K, k)
-        if whole_complex and d < 3:
-            # Dimension 1 and 2 need no top-level budget: closed
-            # pseudomanifolds there are certified by their links alone.
-            prof = homology(K, reduced=True)
-            top_is_homology_sphere = prof.is_sphere(d)
-            continue
-        links = [(s, K if whole_complex else K.link(s)) for s in simplices]
-        size_hits = []
-        reject_hits = []
-        max_seen = 0
-        allowed = 3 * k if (k >= 3 or whole_complex) else None
-
-        if k == 1:
-            method = "circle recognizer"
-            for s, lk in links:
-                max_seen = max(max_seen, lk.n_vertices)
-                if lk.dimension != 1 or not recognize_circle(lk):
-                    reject_hits.append((s, "link is not a circle"))
-        elif k == 2:
-            method = "2-sphere recognizer"
-            for s, lk in links:
-                max_seen = max(max_seen, lk.n_vertices)
-                if lk.dimension != 2 or not recognize_2sphere(lk):
-                    reject_hits.append((s, "link is not a 2-sphere"))
-        else:
-            method = "homology k-sphere + 3k vertex budget"
-            for s, lk in links:
-                nv = lk.n_vertices
-                max_seen = max(max_seen, nv)
-                if nv > allowed:
-                    size_hits.append((s, f"link has {nv} vertices, budget {allowed}"))
-                sphere_ok = lk.dimension == k and homology(lk, reduced=True).is_sphere(k)
-                if whole_complex:
-                    top_is_homology_sphere = sphere_ok
-                elif not sphere_ok:
-                    reject_hits.append((s, f"link is not a homology {k}-sphere"))
-
-        if whole_complex:
-            top_size_ok = not size_hits
+    levels, rejections, size_hits = [], [], []
+    for k in range(1, d):
+        method, sphere, is_sphere = _level_test(k)
+        allowed = 3 * k if k >= 3 else None
+        simplices = K.faces(d - k - 1)
+        rejected, oversized, max_seen = len(rejections), len(size_hits), 0
+        for s in simplices:
+            lk = K.link(s)
+            nv = lk.n_vertices
+            max_seen = max(max_seen, nv)
+            if allowed is not None and nv > allowed:
+                size_hits.append((s, f"link has {nv} vertices, budget {allowed}"))
+            if lk.dimension != k or not is_sphere(lk):
+                rejections.append((s, f"link is not a {sphere}"))
         levels.append(
             LevelSummary(
                 sphere_dim=k,
-                simplices_checked=len(links),
+                simplices_checked=len(simplices),
                 max_link_vertices=max_seen,
                 allowed_vertices=allowed,
-                size_violations=len(size_hits),
-                rejections=len(reject_hits),
-                method=method if not whole_complex else "whole complex: 3d vertex budget",
+                size_violations=len(size_hits) - oversized,
+                rejections=len(rejections) - rejected,
+                method=method,
             )
         )
-        if reject_hits and first_rejection is None:
-            first_rejection = reject_hits[0]
-        if size_hits and first_size is None:
-            first_size = size_hits[0]
+    if d >= 3:
+        nv, allowed = K.n_vertices, 3 * d
+        if nv > allowed:
+            size_hits.append(((), f"link has {nv} vertices, budget {allowed}"))
+        levels.append(
+            LevelSummary(
+                sphere_dim=d,
+                simplices_checked=1,
+                max_link_vertices=nv,
+                allowed_vertices=allowed,
+                size_violations=int(nv > allowed),
+                rejections=0,
+                method="whole complex: 3d vertex budget",
+            )
+        )
 
-    if first_rejection is not None:
-        witness, reason = first_rejection
-        verdict = "REJECTED"
-    elif first_size is not None:
-        witness, reason = first_size
-        verdict = "INCONCLUSIVE"
+    if rejections:
+        verdict, (witness, reason) = "REJECTED", rejections[0]
+    elif size_hits:
+        verdict, (witness, reason) = "INCONCLUSIVE", size_hits[0]
     else:
-        witness, reason = None, None
-        verdict = "CERTIFIED"
-
-    pl_sphere = verdict == "CERTIFIED" and top_is_homology_sphere and top_size_ok
-    cert = CombinatorialityCertificate(
+        verdict, witness, reason = "CERTIFIED", None, None
+    return CombinatorialityCertificate(
         verdict=verdict,
         dimension=d,
         levels=tuple(levels),
         witness=witness,
         witness_reason=reason,
-        pl_sphere=pl_sphere,
+        pl_sphere=verdict == "CERTIFIED" and homology(K, reduced=True).is_sphere(d),
     )
-    return cert
 
 
 @_memoized
@@ -349,13 +320,7 @@ def bistellar_sphere_heuristic(
         last = None
         for _ in range(move_budget):
             if _is_simplex_boundary(current):
-                return BistellarResult(
-                    success=True,
-                    moves=tuple(applied),
-                    restarts_used=r + 1,
-                    final_facets=current.facets,
-                    detail=f"reduced to the boundary simplex in {len(applied)} moves",
-                )
+                break
             moves = bistellar_moves(current)
             if last is not None and len(moves) > 1:
                 undo = BistellarMove(face=last.cofacet, cofacet=last.face)

@@ -401,7 +401,11 @@ def _quotient_search(P, max_degree, node_budget):
             images[i] = ident
             return False
 
-        if assign(0):
+        found = assign(0)
+        # assign refers to itself through this cell; emptying it frees perms
+        # now instead of at the next full garbage collection.
+        assign = None
+        if found:
             return (n, tuple(images)), False
         if nodes > node_budget:
             return None, True
@@ -481,22 +485,35 @@ def freeness_verdict(
     return FreenessVerdict("UNKNOWN", None, reason, None, Q)
 
 
+def _int_sequence(x) -> bool:
+    return isinstance(x, (tuple, list)) and all(isinstance(v, int) for v in x)
+
+
 def validate_not_free_certificate(verdict: FreenessVerdict) -> bool:
-    """Re-check a NOT_FREE certificate from scratch."""
-    if verdict.status != "NOT_FREE" or verdict.certificate is None:
-        return False
+    """Re-check a NOT_FREE certificate from scratch.
+
+    A certificate of the wrong shape (not a dict, a field missing or of
+    the wrong type) is rejected, never raised on.
+    """
     cert = verdict.certificate
-    Q = cert["presentation"]
-    if cert["kind"] == "torsion-in-H1":
-        torsion = cert["torsion"]
-        if not torsion or any(not isinstance(t, int) or t < 2 for t in torsion):
+    if verdict.status != "NOT_FREE" or not isinstance(cert, dict):
+        return False
+    Q = cert.get("presentation")
+    if not isinstance(Q, GroupPresentation):
+        return False
+    if cert.get("kind") == "torsion-in-H1":
+        torsion = cert.get("torsion")
+        if not _int_sequence(torsion) or not torsion or any(t < 2 for t in torsion):
             return False
         factors = abelianization(Q).torsion
         return all(any(f % t == 0 for f in factors) for t in torsion)
-    if cert["kind"] == "perfect-and-nontrivial-quotient":
-        n, images = cert["degree"], [tuple(p) for p in cert["images"]]
-        if not isinstance(n, int) or n < 2 or len(images) != Q.ngens:
+    if cert.get("kind") == "perfect-and-nontrivial-quotient":
+        n, images = cert.get("degree"), cert.get("images")
+        if not isinstance(n, int) or n < 2 or not isinstance(images, (tuple, list)):
             return False
+        if len(images) != Q.ngens or not all(_int_sequence(p) for p in images):
+            return False
+        images = [tuple(p) for p in images]
         ident = tuple(range(n))
         if any(tuple(sorted(p)) != ident for p in images):
             return False

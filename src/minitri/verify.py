@@ -169,18 +169,15 @@ def complement_homology_check(K: SimplicialComplex, facet) -> CheckReport:
     return CheckReport("complement-homology", passed, tuple(entries), notes)
 
 
-def alexander_duality_check(
-    S: SimplicialComplex, V, sphere_certified: bool = False
-) -> CheckReport:
+def alexander_duality_check(S: SimplicialComplex, V) -> CheckReport:
     """Reduced homology of K(V) against reduced cohomology of K(V') in
     complementary degree, over a certified PL-sphere.
 
-    ``sphere_certified=True`` skips certification for known fixtures;
-    otherwise the combinatoriality certificate must prove the sphere
-    (the duality statement is simply false on other inputs).
+    The combinatoriality certificate must prove the sphere (the duality
+    statement is simply false on other inputs); it is memoized per complex.
     """
     n = S.dimension
-    if not sphere_certified and not certified_sphere(S):
+    if not certified_sphere(S):
         raise HypothesisError(
             "duality needs a certified PL-sphere; certification failed or was inconclusive"
         )

@@ -5,9 +5,10 @@ recursive gcd-to-corner elimination on Python lists for Smith forms,
 determinantal-divisor ratios for small matrices, a bare-hands
 fraction-free determinant, dense Gaussian elimination over F_p for
 mod-p ranks, Tietze simplification that recounts
-every generator over every relator for each candidate move, and a
+every generator over every relator for each candidate move, a
 quotient search that tries every permutation for every generator and
-checks relators in the order given.  If these
+checks relators in the order given, and a small-link certificate that
+recognizes 2-spheres by rebuilding and testing every vertex link.  If these
 and the library ever disagree, one of them is wrong and the tests
 should say so loudly.
 """
@@ -16,7 +17,10 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
+from minitri.combinatorial import CombinatorialityCertificate, LevelSummary
 from minitri.complexes import from_facets
+from minitri.errors import DimensionError, NotPseudomanifoldError
+from minitri.homology import homology
 from minitri.pi1 import (
     GroupPresentation,
     _canonical_cyclic,
@@ -267,3 +271,140 @@ def quotient_search_naive(P, max_degree, node_budget):
         if nodes > node_budget:
             return None, True
     return None, False
+
+
+def recognize_circle_naive(K):
+    """True iff K is a triangulated circle: connected, every vertex degree 2."""
+    if K.dimension != 1:
+        raise DimensionError(f"circle recognition needs dimension 1, got {K.dimension}")
+    degree = dict.fromkeys(K.vertices, 0)
+    for f in K.facets:
+        if len(f) != 2:
+            return False
+        degree[f[0]] += 1
+        degree[f[1]] += 1
+    return all(c == 2 for c in degree.values()) and K.is_connected()
+
+
+def recognize_2sphere_naive(K):
+    """True iff K is a triangulated 2-sphere.
+
+    Closed pseudomanifold, connected, all vertex links circles, Euler
+    characteristic 2.  These conditions characterize S^2 exactly.
+    """
+    if K.dimension != 2:
+        raise DimensionError(f"2-sphere recognition needs dimension 2, got {K.dimension}")
+    if not K.is_closed_pseudomanifold().is_closed_pseudomanifold:
+        return False
+    if not K.is_connected():
+        return False
+    for v in K.vertices:
+        lk = K.link((v,))
+        if lk.dimension != 1 or not recognize_circle_naive(lk):
+            return False
+    f0, f1, f2 = K.f_vector()
+    return f0 - f1 + f2 == 2
+
+
+def _level_simplices(K, k):
+    # Simplices whose link should be a k-sphere; the empty simplex for k = dim.
+    if k == K.dimension:
+        return ((),)
+    return K.faces(K.dimension - k - 1)
+
+
+def small_link_certificate_naive(K):
+    """The certificate with one near-copy of the level loop per link dimension.
+
+    Levels run over link dimension k = 1 .. d, the k = d level being the
+    complex itself; the recognizers it calls are the naive ones above.
+    """
+    report = K.is_closed_pseudomanifold()
+    if not report.is_closed_pseudomanifold:
+        raise NotPseudomanifoldError("certification needs a closed pseudomanifold")
+    d = K.dimension
+
+    levels = []
+    first_rejection = None
+    first_size = None
+    top_is_homology_sphere = False
+    top_size_ok = True
+
+    for k in range(1, d + 1):
+        whole_complex = k == d
+        simplices = _level_simplices(K, k)
+        if whole_complex and d < 3:
+            # Dimension 1 and 2 need no top-level budget: closed
+            # pseudomanifolds there are certified by their links alone.
+            prof = homology(K, reduced=True)
+            top_is_homology_sphere = prof.is_sphere(d)
+            continue
+        links = [(s, K if whole_complex else K.link(s)) for s in simplices]
+        size_hits = []
+        reject_hits = []
+        max_seen = 0
+        allowed = 3 * k if (k >= 3 or whole_complex) else None
+
+        if k == 1:
+            method = "circle recognizer"
+            for s, lk in links:
+                max_seen = max(max_seen, lk.n_vertices)
+                if lk.dimension != 1 or not recognize_circle_naive(lk):
+                    reject_hits.append((s, "link is not a circle"))
+        elif k == 2:
+            method = "2-sphere recognizer"
+            for s, lk in links:
+                max_seen = max(max_seen, lk.n_vertices)
+                if lk.dimension != 2 or not recognize_2sphere_naive(lk):
+                    reject_hits.append((s, "link is not a 2-sphere"))
+        else:
+            method = "homology k-sphere + 3k vertex budget"
+            for s, lk in links:
+                nv = lk.n_vertices
+                max_seen = max(max_seen, nv)
+                if nv > allowed:
+                    size_hits.append((s, f"link has {nv} vertices, budget {allowed}"))
+                sphere_ok = lk.dimension == k and homology(lk, reduced=True).is_sphere(k)
+                if whole_complex:
+                    top_is_homology_sphere = sphere_ok
+                elif not sphere_ok:
+                    reject_hits.append((s, f"link is not a homology {k}-sphere"))
+
+        if whole_complex:
+            top_size_ok = not size_hits
+        levels.append(
+            LevelSummary(
+                sphere_dim=k,
+                simplices_checked=len(links),
+                max_link_vertices=max_seen,
+                allowed_vertices=allowed,
+                size_violations=len(size_hits),
+                rejections=len(reject_hits),
+                method=method if not whole_complex else "whole complex: 3d vertex budget",
+            )
+        )
+        if reject_hits and first_rejection is None:
+            first_rejection = reject_hits[0]
+        if size_hits and first_size is None:
+            first_size = size_hits[0]
+
+    if first_rejection is not None:
+        witness, reason = first_rejection
+        verdict = "REJECTED"
+    elif first_size is not None:
+        witness, reason = first_size
+        verdict = "INCONCLUSIVE"
+    else:
+        witness, reason = None, None
+        verdict = "CERTIFIED"
+
+    pl_sphere = verdict == "CERTIFIED" and top_is_homology_sphere and top_size_ok
+    cert = CombinatorialityCertificate(
+        verdict=verdict,
+        dimension=d,
+        levels=tuple(levels),
+        witness=witness,
+        witness_reason=reason,
+        pl_sphere=pl_sphere,
+    )
+    return cert

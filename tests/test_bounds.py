@@ -184,6 +184,22 @@ def test_analyze_rejected_suppresses_manifold_bounds():
     assert "manifold-hypothesis-rejected" in stub.flags
 
 
+@pytest.mark.parametrize(
+    "assertions",
+    [{"pi1": "notfree"}, {"pi": "not-free"}, {"simply-connected": "maybe"}, {"pi1": ""}],
+)
+def test_analyze_rejects_unknown_assertions(assertions):
+    with pytest.raises(HypothesisError):
+        analyze(fixtures.cyclic_polytope(9, 4), assertions=assertions)
+
+
+def test_analyze_normalizes_assertion_values():
+    K = fixtures.cyclic_polytope(9, 4)
+    want = [r.as_dict() for r in analyze(K, assertions={"pi1": "not-free"})]
+    got = [r.as_dict() for r in analyze(K, assertions={"pi1": " Not-Free ", "simply-connected": "no"})]
+    assert got == want
+
+
 def test_analyze_asserted_not_free_contradiction():
     reports = analyze(fixtures.cyclic_polytope(9, 4), assertions={"pi1": "not-free"})
     rules = {r.rule: r for r in reports}

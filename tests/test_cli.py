@@ -117,6 +117,14 @@ def test_bounds_assert_file(c94_file, tmp_path, capsys):
     assert main(["bounds", c94_file, "--assert", str(afile)]) == 1
 
 
+@pytest.mark.parametrize("line", ["pi1=notfree", "pi=not-free", "simply-connected=maybe"])
+def test_bounds_assert_file_typo(c94_file, tmp_path, capsys, line):
+    afile = tmp_path / "a.txt"
+    afile.write_text(line + "\n")
+    assert main(["bounds", c94_file, "--assert", str(afile)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_check_combinatorial_certified(c94_file, capsys):
     assert main(["check-combinatorial", c94_file]) == 0
     assert "CERTIFIED" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +16,17 @@ from minitri.combinatorial import (
     recognize_circle,
     small_link_certificate,
 )
-from minitri.complexes import from_facets
+from minitri.complexes import SimplicialComplex, from_facets
 from minitri.errors import DimensionError, HypothesisError, NotPseudomanifoldError
 from minitri.homology import homology
 from minitri.pi1 import edge_path_presentation, freeness_verdict, validate_not_free_certificate
 
-from oracles import suspension
+from oracles import (
+    recognize_2sphere_naive,
+    recognize_circle_naive,
+    small_link_certificate_naive,
+    suspension,
+)
 
 BROKEN_PM = from_facets(
     [
@@ -258,3 +264,152 @@ def test_flips_preserve_verdicts(name, seed):
     fv = freeness_verdict(edge_path_presentation(K, rng=rng))
     if fv.status == "NOT_FREE":
         assert validate_not_free_certificate(fv)
+
+
+# -- diffs against the pre-refactor recognizers and certificate -------------
+
+
+def _relabel(K, shift):
+    return from_facets([tuple(v + shift for v in f) for f in K.facets])
+
+
+def _disjoint_union(K, L):
+    return from_facets(list(K.facets) + list(_relabel(L, max(K.vertices) + 1).facets))
+
+
+def _wedge(K, L):
+    # Glue L's first vertex onto K's first vertex.
+    shift = max(K.vertices) + 1
+    glue = L.vertices[0] + shift
+    M = _relabel(L, shift)
+    return from_facets(
+        list(K.facets) + [tuple(K.vertices[0] if v == glue else v for v in f) for f in M.facets]
+    )
+
+
+def _pinched(K):
+    """K with two fresh vertices, cones over two disjoint facets, identified.
+
+    Their stars are disjoint, so the identified vertex has a link made of
+    two disjoint (d-1)-spheres.
+    """
+    F, G = next((F, G) for F, G in combinations(K.facets, 2) if not set(F) & set(G))
+    v = max(K.vertices) + 1
+    facets = [f for f in K.facets if f not in (F, G)]
+    for face in (F, G):
+        facets += [tuple(x for x in face if x != y) + (v,) for y in face]
+    return from_facets(facets)
+
+
+def _flipped(K, rng, flips):
+    for _ in range(flips):
+        moves = bistellar_moves(K)
+        if not moves:
+            break
+        K = apply_bistellar_move(K, rng.choice(moves))
+    return K
+
+
+def _random_graphs(rng, count):
+    for _ in range(count):
+        n = rng.randint(2, 7)
+        verts = list(range(1, n + 1))
+        shape = rng.randrange(3)
+        if shape == 0:
+            edges = [e for e in combinations(verts, 2) if rng.random() < 0.4]
+        else:
+            # one or two cycles, sharing vertices or not
+            edges = []
+            for _ in range(shape):
+                cyc = rng.sample(verts, rng.randint(3, n)) if n >= 3 else verts
+                edges += [(cyc[i], cyc[i - 1]) for i in range(len(cyc))]
+        if rng.random() < 0.2:
+            edges.append((n + 1,))
+        if edges:
+            yield from_facets(edges)
+
+
+def _sample_2complexes(rng):
+    spheres = [fixtures.boundary_simplex(2), fixtures.cross_polytope(2)]
+    others = [fixtures.torus_7(), fixtures.rp2_6()]
+    for _ in range(60):
+        for base in (spheres[rng.randrange(2)], others[rng.randrange(2)]):
+            K = _stellar_subdivision(base, rng)
+            yield _flipped(K, rng, rng.randint(0, 4))
+    for _ in range(30):
+        S = _flipped(_stellar_subdivision(fixtures.cross_polytope(2), rng), rng, 3)
+        yield _pinched(S)
+        yield _wedge(S, spheres[rng.randrange(2)])
+        yield _disjoint_union(S, spheres[rng.randrange(2)])
+        # a sphere with a dangling triangle is not pure
+        yield from_facets(list(S.facets) + [(S.vertices[0], 100, 101)])
+    for _ in range(300):
+        n = rng.randint(4, 7)
+        tris = [t for t in combinations(range(n), 3) if rng.random() < 0.45]
+        if tris:
+            yield from_facets(tris)
+
+
+def test_recognize_circle_matches_naive():
+    rng = random.Random(11)
+    circles = 0
+    graphs = [G for G in _random_graphs(rng, 600) if G.dimension == 1]
+    for G in graphs:
+        got = recognize_circle(G)
+        assert got == recognize_circle_naive(G), G.facets
+        circles += got
+    assert 50 < circles < len(graphs)
+
+
+def test_recognize_2sphere_matches_naive():
+    rng = random.Random(12)
+    spheres = total = 0
+    for K in _sample_2complexes(rng):
+        if K.dimension != 2:
+            continue
+        got = recognize_2sphere(K)
+        assert got == recognize_2sphere_naive(K), K.facets
+        spheres += got
+        total += 1
+    assert 50 < spheres < total
+
+
+def _certificate_inputs():
+    rng = random.Random(13)
+    yield from (fixtures.boundary_simplex(d) for d in range(1, 6))
+    yield from (fixtures.cross_polytope(d) for d in range(1, 5))
+    yield from (fixtures.cyclic_polytope(n, 4) for n in (6, 9, 12))
+    yield fixtures.cyclic_polytope(10, 5)
+    yield from (fixtures.rp2_6(), fixtures.torus_7(), fixtures.cp2_9())
+    rp2 = suspension(fixtures.rp2_6(), 90, 91)
+    yield from (rp2, suspension(rp2, 92, 93), suspension(fixtures.torus_7(), 90, 91))
+    yield suspension(fixtures.cross_polytope(2), 90, 91)
+    yield from (_pinched(fixtures.cross_polytope(d)) for d in (2, 3, 4))
+    for base in (fixtures.cross_polytope(3), fixtures.cp2_9(), fixtures.cyclic_polytope(9, 4)):
+        for _ in range(3):
+            yield _flipped(_stellar_subdivision(base, rng), rng, rng.randint(1, 5))
+
+
+def test_certificate_matches_naive():
+    verdicts = set()
+    for K in _certificate_inputs():
+        cert = small_link_certificate(K).as_dict()
+        assert cert == small_link_certificate_naive(K).as_dict(), K.facets
+        verdicts.add(cert["verdict"])
+    assert verdicts == {"CERTIFIED", "INCONCLUSIVE", "REJECTED"}
+
+
+def test_certificate_builds_each_link_once(monkeypatch):
+    calls = []
+    link = SimplicialComplex.link
+
+    def counting_link(self, simplex):
+        calls.append(tuple(simplex))
+        return link(self, simplex)
+
+    monkeypatch.setattr(SimplicialComplex, "link", counting_link)
+    K = fixtures.cp2_9()
+    cert = small_link_certificate(K)
+    proper = [lv for lv in cert.levels if lv.sphere_dim < K.dimension]
+    assert len(calls) == sum(lv.simplices_checked for lv in proper)
+    assert sorted(calls) == sorted(s for i in range(K.dimension - 1) for s in K.faces(i))

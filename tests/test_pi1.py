@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -241,10 +242,41 @@ def test_forged_certificates_rejected():
         # The identity as a list must still count as the identity.
         ("perfect-and-nontrivial-quotient", trivial, {"degree": 2, "images": ([0, 1],)}),
         ("torsion-in-H1", z2, {"torsion": (0,)}),
+        # Wrong shapes are rejected, not raised on.
+        ("torsion-in-H1", z2, {}),
+        ("torsion-in-H1", z2, {"torsion": 2}),
+        ("perfect-and-nontrivial-quotient", trivial, {"images": ((1, 0),)}),
+        ("perfect-and-nontrivial-quotient", trivial, {"degree": 2, "images": (5,)}),
+        ("perfect-and-nontrivial-quotient", trivial, {"degree": 2, "images": 5}),
+        ("perfect-and-nontrivial-quotient", trivial, {"degree": 2, "images": (("a", 0),)}),
     ]
     for kind, Q, fields in forged:
         cert = {"kind": kind, "presentation": Q, **fields}
         assert validate_not_free_certificate(FreenessVerdict("NOT_FREE", None, kind, cert, Q)) is False
+    kind = "torsion-in-H1"
+    for cert in (
+        {"kind": kind, "torsion": (2,)},
+        {"kind": kind, "torsion": (2,), "presentation": "< a | a^2 >"},
+        [("kind", kind), ("torsion", (2,)), ("presentation", z2)],
+        "torsion 2",
+    ):
+        assert validate_not_free_certificate(FreenessVerdict("NOT_FREE", None, kind, cert, z2)) is False
+    # the well-formed torsion certificate still validates
+    cert = {"kind": kind, "torsion": (2,), "presentation": z2}
+    assert validate_not_free_certificate(FreenessVerdict("NOT_FREE", None, kind, cert, z2))
+
+
+def test_quotient_search_frees_its_permutations():
+    # The search leaves no reference cycle behind, so its S_n lists are
+    # freed when it returns, not at the next full garbage collection.
+    gc.collect()
+    gc.disable()
+    try:
+        assert find_symmetric_quotient(A5, 5) is not None
+        assert find_symmetric_quotient(GroupPresentation(1, ((1,),)), 4) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _assert_homomorphism(P, hit):

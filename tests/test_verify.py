@@ -115,13 +115,6 @@ def test_duality_refuses_uncertified_input():
         alexander_duality_check(fixtures.rp2_6(), (1, 2))
 
 
-def test_duality_sphere_certified_override():
-    # caller may vouch for the sphere; the octahedron really is one
-    K = fixtures.cross_polytope(2)
-    rep = alexander_duality_check(K, (K.vertices[0],), sphere_certified=True)
-    assert rep.passed
-
-
 def test_duality_rejects_foreign_vertices():
     K = fixtures.cross_polytope(2)
     with pytest.raises(Exception):
