@@ -181,6 +181,12 @@ def homology_sphere_verdict(K: SimplicialComplex, coeff: str = "Z") -> BoundRepo
 
     Dimensions 1 and 2 are decided directly (homology spheres there are
     PL-spheres regardless of size).
+
+    Only the closed-pseudomanifold condition is checked, so the verdict
+    assumes that K triangulates a manifold.  Over Z, n <= 3d then gives
+    a sphere: H_1 = 0 makes pi_1 perfect; n <= 3d makes pi_1 free, so
+    pi_1 is trivial; and a simply connected homology sphere is a
+    homotopy sphere.
     """
     if not K.is_closed_pseudomanifold().is_closed_pseudomanifold:
         raise NotPseudomanifoldError("sphere recognition needs a closed pseudomanifold")

@@ -46,7 +46,9 @@ def _print_json(payload) -> None:
 
 def _cmd_info(args) -> int:
     K = facetio.load(args.file)
-    pm = K.is_closed_pseudomanifold()
+    # The pseudomanifold report needs dimension >= 1; S^0 still gets its f-vector.
+    pm = K.is_closed_pseudomanifold() if K.dimension >= 1 else None
+    closed = pm is not None and pm.is_closed_pseudomanifold
     payload = {
         "file": args.file,
         "dimension": K.dimension,
@@ -55,9 +57,9 @@ def _cmd_info(args) -> int:
         "f_vector": list(K.f_vector()),
         "euler_characteristic": euler_characteristic(K),
         "connected": K.is_connected(),
-        "pseudomanifold": pm.as_dict(),
+        "pseudomanifold": None if pm is None else pm.as_dict(),
     }
-    if pm.is_closed_pseudomanifold:
+    if closed:
         payload["orientable"] = K.is_orientable()
     if args.json:
         _print_json(payload)
@@ -68,16 +70,16 @@ def _cmd_info(args) -> int:
     print(f"f-vector             {tuple(K.f_vector())}")
     print(f"euler characteristic {payload['euler_characteristic']}")
     print(f"connected            {K.is_connected()}")
-    print(f"closed pseudomanifold {pm.is_closed_pseudomanifold}")
-    if not pm.is_closed_pseudomanifold:
+    print(f"closed pseudomanifold {'n/a' if pm is None else closed}")
+    if closed:
+        print(f"orientable           {payload['orientable']}")
+    elif pm is not None:
         if not pm.pure:
             print("  not pure")
         if not pm.ridge_degree_two:
             print("  some ridge is not in exactly two facets")
         if not pm.strongly_connected:
             print("  facet-adjacency graph disconnected")
-    else:
-        print(f"orientable           {payload['orientable']}")
     return 0
 
 

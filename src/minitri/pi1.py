@@ -19,7 +19,7 @@ from typing import Optional
 
 from .complexes import SimplicialComplex
 from .errors import ConnectivityError, DimensionError, HypothesisError
-from .snf import smith_normal_form
+from .snf import SparseMatrix, smith_normal_form
 
 
 def _free_reduce(word):
@@ -293,17 +293,13 @@ class AbelianInvariants:
 
 def abelianization(P: GroupPresentation) -> AbelianInvariants:
     """Invariants of the abelianized group, by SNF of the exponent matrix."""
-    if P.ngens == 0:
-        return AbelianInvariants(0, ())
-    rows = []
-    for r in P.relators:
-        row = [0] * P.ngens
+    rows = {}
+    for i, r in enumerate(P.relators):
+        row = rows[i] = {}
         for g in r:
-            row[abs(g) - 1] += 1 if g > 0 else -1
-        rows.append(row)
-    if not rows:
-        return AbelianInvariants(P.ngens, ())
-    res = smith_normal_form(rows)
+            j = abs(g) - 1
+            row[j] = row.get(j, 0) + (1 if g > 0 else -1)
+    res = smith_normal_form(SparseMatrix((len(P.relators), P.ngens), rows))
     return AbelianInvariants(P.ngens - res.rank, res.torsion_factors)
 
 
@@ -358,11 +354,13 @@ def find_symmetric_quotient(
     """Search for a nontrivial homomorphism to S_n, n <= max_degree.
 
     Backtracking over generator images in index order.  Conjugating a
-    homomorphism by any element of S_n keeps it nontrivial, so the first
-    generator is tried only on one permutation per cycle type; the
-    others range over all of S_n, and each degree is still searched
-    exhaustively.  A relator is checked as soon as its highest generator
-    is assigned, shortest relators first.  Returns (n, images) or None.
+    homomorphism by any element of S_n keeps it nontrivial and fixes
+    the identity images, so while every earlier generator maps to the
+    identity, a generator is tried only on one permutation per cycle
+    type; after the first nonidentity image the rest range over all of
+    S_n, and each degree is still searched exhaustively.  A relator is
+    checked as soon as its highest generator is assigned, shortest
+    relators first.  Returns (n, images) or None.
     The homomorphism is nontrivial when at least one image is not the
     identity.
     """
@@ -384,11 +382,11 @@ def _quotient_search(P, max_degree, node_budget):
         images = [ident] * P.ngens
         nodes = 0
 
-        def assign(i):
+        def assign(i, trivial_so_far):
             nonlocal nodes
             if i == P.ngens:
-                return any(img != ident for img in images)
-            for p in first if i == 0 else perms:
+                return not trivial_so_far
+            for p in first if trivial_so_far else perms:
                 nodes += 1
                 if nodes > node_budget:
                     return False
@@ -396,12 +394,12 @@ def _quotient_search(P, max_degree, node_budget):
                 ok = all(
                     _relator_image(r, images, n) == ident for r in by_max.get(i + 1, ())
                 )
-                if ok and assign(i + 1):
+                if ok and assign(i + 1, trivial_so_far and p == ident):
                     return True
             images[i] = ident
             return False
 
-        found = assign(0)
+        found = assign(0, True)
         # assign refers to itself through this cell; emptying it frees perms
         # now instead of at the next full garbage collection.
         assign = None

@@ -1,20 +1,21 @@
 """Exact Smith normal form of integer matrices, and mod-p ranks read from it.
 
-There is one reduction, over Z.  The matrix is stored as a dict of rows
-and reduced by pivots taken Markowitz style: the sparsest column first,
-then the sparsest row within that column.  Only entries +-1 are pivots,
-so each step is unimodular and contributes an invariant factor 1.
-After a pivot has cleared its column, its row and column are dropped.
+There is one reduction, over Z, on one representation: the matrix is a
+dict of rows.  First it pivots on entries +-1, Markowitz style: the
+sparsest column first, then the sparsest row within that column.  Each
+such step is unimodular and contributes an invariant factor 1; after a
+pivot has cleared its column, its row and column are dropped.
 
 Boundary matrices have entries in {-1, 0, 1} and reduce almost entirely
 by unit pivots (Dumas, Heckenbach, Saunders and Welker 2003).  The
-small residual that has no unit entry left goes to an exact dense
-reduction: repeatedly move a minimal-magnitude pivot to the corner,
-clear its row and column with floor-division steps (Euclid through pivot
-re-selection), and absorb any entry the pivot does not divide before
-advancing, so pivots come out as invariant factors d_1 | d_2 | ...
-directly.  Python integers are arbitrary precision, so no overflow guard
-is needed.
+residual, which has no unit entry left, is diagonalized on the same
+rows by Euclid's algorithm: pivot on an entry of least magnitude, leave
+remainders in its column by row operations and then in its row by
+column operations, and pivot again on any remainder, which is smaller.
+The invariant factors are read off the diagonal: units first, then each
+pair of other entries replaced by their gcd and lcm, which leaves
+d_1 | d_2 | ....  Python integers are arbitrary precision, so no
+overflow guard is needed.
 
 The rank over F_p is the number of invariant factors that p does not
 divide (see ``rank_mod_p``), so no elimination runs modulo p.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from math import gcd
 
 from .errors import CoefficientError, HypothesisError
 
@@ -174,78 +176,59 @@ def smith_normal_form(matrix) -> SNFResult:
     """
     shape, rows = _sparse_rows(matrix)
     units = _eliminate(rows)
-    factors = ()
-    if rows:
-        cols = sorted({j for row in rows.values() for j in row})
-        residual = [[row.get(j, 0) for j in cols] for row in rows.values()]
-        factors = tuple(_snf_dense_python(residual, (len(residual), len(cols))))
-    return SNFResult(shape, (1,) * units + factors)
+    diagonal = _reduce_residual(rows)
+    units += diagonal.count(1)
+    d = [x for x in diagonal if x != 1]
+    # diag(a, b) and diag(gcd, lcm) have the same Smith normal form; after
+    # position a has met every later one, it divides all of them.
+    for a in range(len(d)):
+        for b in range(a + 1, len(d)):
+            g = gcd(d[a], d[b])
+            d[a], d[b] = g, d[a] // g * d[b]
+    return SNFResult(shape, (1,) * units + tuple(d))
 
 
-def _snf_dense_python(rows, shape):
-    m, n = shape
-    A = [row[:] for row in rows]
+def _reduce_residual(rows) -> list:
+    """Diagonalize ``rows`` in place and return the diagonal's magnitudes.
 
-    factors = []
-    l = 0
-    while l < min(m, n):
-        # Minimal-magnitude pivot in the active submatrix, row-major ties.
-        best = None
-        for i in range(l, m):
-            rowi = A[i]
-            for j in range(l, n):
-                v = rowi[j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != l:
-            A[l], A[pi] = A[pi], A[l]
-        if pj != l:
-            for row in A:
-                row[l], row[pj] = row[pj], row[l]
-        if A[l][l] < 0:
-            A[l] = [-v for v in A[l]]
-        p = A[l][l]
-
+    Each step pivots on an entry v of least magnitude.  Row operations
+    leave a remainder mod v in each other entry of its column; once the
+    column is clear, column operations, which touch only the pivot row,
+    do the same along the row.  A remainder is smaller than |v|, so the
+    next step pivots on it (Euclid's algorithm).  A pivot left alone in
+    its row and column is recorded and its row dropped.
+    """
+    diagonal = []
+    while rows:
+        _, i, j = min((abs(v), i, j) for i, row in rows.items() for j, v in row.items())
+        prow = rows[i]
+        v = prow[j]
         dirty = False
-        for i in range(l + 1, m):
-            q = A[i][l] // p
-            if q:
-                Ai, Al = A[i], A[l]
-                for j in range(n):
-                    Ai[j] -= q * Al[j]
-            if A[i][l]:
+        for k in [k for k, row in rows.items() if j in row and k != i]:
+            row = rows[k]
+            f = row[j] // v
+            for c, w in prow.items():
+                new = row.get(c, 0) - f * w
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+            if j in row:
                 dirty = True
+            elif not row:
+                del rows[k]
         if dirty:
             continue
-        dirty = False
-        for j in range(l + 1, n):
-            q = A[l][j] // p
-            if q:
-                for i in range(m):
-                    A[i][j] -= q * A[i][l]
-            if A[l][j]:
+        for c in [c for c in prow if c != j]:
+            prow[c] %= v
+            if prow[c]:
                 dirty = True
-        if dirty:
-            continue
-        if p != 1:
-            bad = None
-            for i in range(l + 1, m):
-                rowi = A[i]
-                if any(rowi[j] % p for j in range(l + 1, n)):
-                    bad = i
-                    break
-            if bad is not None:
-                Al, Ab = A[l], A[bad]
-                for j in range(n):
-                    Al[j] += Ab[j]
-                continue
-        factors.append(p)
-        l += 1
-
-    return factors
+            else:
+                del prow[c]
+        if not dirty:
+            diagonal.append(abs(v))
+            del rows[i]
+    return diagonal
 
 
 def rank_mod_p(matrix, p: int) -> int:

@@ -60,6 +60,20 @@ def test_info_json(rp2_file, capsys):
     assert payload["orientable"] is False
 
 
+def test_info_on_zero_dimensional_complex(tmp_path, capsys):
+    path = tmp_path / "s0.facets"
+    path.write_text("1\n2\n")
+    assert main(["info", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "f-vector             (2,)" in out
+    assert "closed pseudomanifold n/a" in out
+    assert main(["info", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["f_vector"] == [2]
+    assert payload["pseudomanifold"] is None
+    assert "orientable" not in payload
+
+
 def test_homology_human(rp2_file, capsys):
     assert main(["homology", rp2_file]) == 0
     out = capsys.readouterr().out

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from minitri import fixtures
 from minitri.errors import CoefficientError, HypothesisError
-from minitri.homology import boundary_matrix
+from minitri.complexes import from_facets
+from minitri.homology import boundary_matrix, homology
+from minitri.pi1 import GroupPresentation, abelianization
 from minitri.snf import (
     SparseMatrix,
     is_prime,
     rank_mod_p,
     smith_normal_form,
-    _snf_dense_python,
 )
 
 from oracles import (
@@ -89,14 +90,35 @@ def test_python_fallback_handles_huge_entries():
     assert got == snf_invariant_factors_naive(M)
 
 
-def test_python_engine_matches_numpy_engine():
-    rng = random.Random(29)
-    for _ in range(60):
-        M = random_matrix(rng, max_dim=6)
-        shape = (len(M), len(M[0]))
-        rows = [list(r) for r in M]
-        factors = _snf_dense_python(rows, shape)
-        assert tuple(factors) == smith_normal_form(M).invariant_factors
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from((0, 2, -2, 3, -3, 4, -4, 6, -6)), min_size=n, max_size=n),
+            min_size=1,
+            max_size=5,
+        )
+    )
+)
+def test_residual_without_unit_entries_matches_oracles(rows):
+    # No entry is +-1, so the unit pivots find nothing and the whole
+    # matrix goes through the Euclid residual and the gcd/lcm read-off.
+    got = smith_normal_form(rows).invariant_factors
+    assert got == snf_invariant_factors_naive(rows)
+    assert got == determinantal_divisor_factors(rows)
+
+
+def test_many_torsion_factors_from_disjoint_rp2():
+    facets = fixtures.rp2_6().facets
+    K = from_facets([tuple(10 * c + v for v in F) for c in range(200) for F in facets])
+    h1 = homology(K).group(1)
+    assert h1 == (0, (2,) * 200)
+
+
+def test_many_torsion_factors_from_abelianization():
+    P = GroupPresentation(400, tuple((i, i) for i in range(1, 401)))
+    ab = abelianization(P)
+    assert ab.rank == 0 and ab.torsion == (2,) * 400
 
 
 def _boundary_matrices(K):
@@ -124,7 +146,7 @@ def test_sparse_engine_matches_oracle_on_boundary_matrices():
             assert got.shape == M.shape
             assert got.invariant_factors == snf_invariant_factors_naive(M.tolist()), K.facets
             torsion += got.torsion_factors
-    # the suspended RP^2 torsion is found by the dense residual engine
+    # the suspended RP^2 torsion has no unit pivot; the residual reduction finds it
     assert torsion.count(2) == 2
 
 
