@@ -5,26 +5,43 @@ vertex tuples: the column of an i-face sigma has entry (-1)^j in the
 row of the face obtained by deleting sigma's j-th vertex.  Faces are
 indexed in lexicographic id order, so matrices are reproducible.
 
-Each boundary matrix is built sparse, column by column, as a
-SparseMatrix of +-1 entries, and reduced over Z by the Smith normal form
-of ``snf``.  Betti numbers come from its ranks and torsion from the
-invariant factors of the next boundary map.  Over a prime field Z_p
-nothing is reduced: the profile follows from the integral one by
-universal coefficients, H_i(K; Z_p) = H_i(K) (x) Z_p + Tor(H_{i-1}(K), Z_p).
-Reduced homology augments the chain complex with the empty simplex; the
-empty complex then has a single reduced group Z in dimension -1, which
-keeps duality bookkeeping uniform.
+Each boundary matrix is built sparse, as a SparseMatrix of +-1 entries,
+and reduced over Z by the Smith normal form of ``snf``.  Betti numbers
+come from its ranks and torsion from the invariant factors of the next
+boundary map.  Over a prime field Z_p nothing is reduced: the profile
+follows from the integral one by universal coefficients,
+H_i(K; Z_p) = H_i(K) (x) Z_p + Tor(H_{i-1}(K), Z_p).  Reduced homology
+augments the chain complex with the empty simplex; the empty complex
+then has a single reduced group Z in dimension -1, which keeps duality
+bookkeeping uniform.
 
-Every elimination goes through ``_reduction``, the only reduction
-cache: it memoizes one SNF per boundary map and orientation on the
-complex, so homology, its reduced variant and the torsion read of the
-next degree share one SNF per map.
+Homology reduces the maps in order, top degree first, and clears: every
+i-face that is a unit pivot row of d_{i+1} is left out as a column of
+d_i (Chen and Kerber, "Persistent homology computation with a twist",
+2011).  This is exact over Z.  The unit pivots of d_{i+1} pick rows R
+and columns C with det d_{i+1}[R, C] = +-1, and d_i d_{i+1} = 0 gives
 
-Cohomology over Z is computed from transposed boundary matrices with
-its own eliminations, then checked against homology via universal
-coefficients; the check is a real one because none of the transposed
-reductions are shared with the homology side.  A failed check raises
-CrossCheckError.
+    d_i[:, R] = -d_i[:, R'] d_{i+1}[R', C] d_{i+1}[R, C]^{-1},
+
+R' being the other rows, with integer entries.  So the dropped columns
+are integer combinations of the kept ones: the column lattice of d_i,
+hence its rank and invariant factors, is unchanged.  Only the unit
+pivots of ``snf``'s first phase clear; pivots of its Euclid residual do
+not.  Each map is built with the cleared columns already left out.
+
+Cohomology over Z reduces the transposed maps bottom-up and clears with
+their own unit pivots (de Silva, Morozov and Vejdemo-Johansson,
+arXiv:1107.5665): d_{i-1}^T's pivot rows, which are (i-1)-faces, drop
+columns of d_i^T.  The augmented degree-0 map clears nothing, so only
+its own reduction depends on ``reduced``.  Cohomology is then checked
+against homology via universal coefficients; the check is a real one
+because no reduction or pivot is shared between the two sides.  A
+failed check raises CrossCheckError.
+
+``_reduction`` is the only reduction cache: it memoizes one SNF per
+boundary map and orientation on the complex, so homology, its reduced
+variant and the torsion read of the next degree share one SNF per map.
+The pruned matrices themselves are dropped once reduced.
 """
 
 from __future__ import annotations
@@ -139,20 +156,35 @@ class BoundaryMatrix:
         return (len(self.row_simplices), len(self.col_simplices))
 
 
-def _build_boundary(K: SimplicialComplex, i: int, reduced: bool):
-    """Matrix of the boundary map at chain degree i, over id-level faces."""
-    cols = K._ifaces(i)
-    if i == 0:
-        if reduced:
-            return SparseMatrix((1, len(cols)), {0: dict.fromkeys(range(len(cols)), 1)})
-        return SparseMatrix((0, len(cols)), {})
-    faces = K._ifaces(i - 1)
-    index = {s: r for r, s in enumerate(faces)}
+def _build_boundary(K: SimplicialComplex, i: int, reduced: bool, cleared=frozenset(), transposed=False):
+    """Matrix of the boundary map at chain degree i, or of its transpose.
+
+    Rows and columns are indexed by id-level faces in ``_ifaces`` order.
+    Columns whose face index is in ``cleared`` are left out and the rest
+    are renumbered in order; row indices stay face indices.
+    """
+    upper = K._ifaces(i)
+    lower = K._ifaces(i - 1) if i else [()] if reduced else []
+    index = {s: r for r, s in enumerate(lower)}
+    column = {}
+    for r in range(len(lower if transposed else upper)):
+        if r not in cleared:
+            column[r] = len(column)
     rows = {}
-    for c, s in enumerate(cols):
-        for j in range(i + 1):
-            rows.setdefault(index[s[:j] + s[j + 1 :]], {})[c] = -1 if j % 2 else 1
-    return SparseMatrix((len(faces), len(cols)), rows)
+    for k, s in enumerate(upper if lower else ()):
+        if transposed:
+            row = {}
+            for j in range(i + 1):
+                c = column.get(index[s[:j] + s[j + 1 :]])
+                if c is not None:
+                    row[c] = -1 if j % 2 else 1
+            if row:
+                rows[k] = row
+        elif k in column:
+            c = column[k]
+            for j in range(i + 1):
+                rows.setdefault(index[s[:j] + s[j + 1 :]], {})[c] = -1 if j % 2 else 1
+    return SparseMatrix((len(upper) if transposed else len(lower), len(column)), rows)
 
 
 def boundary_matrix(K: SimplicialComplex, i: int, reduced: bool = False) -> BoundaryMatrix:
@@ -179,8 +211,13 @@ def _reduction(K: SimplicialComplex, i: int, reduced: bool, transposed=False):
 
 
 def _reduce(K, i, reduced, transposed):
-    M = K._memo(("boundary", i, reduced), _build_boundary, K, i, reduced)
-    return smith_normal_form(M.transpose() if transposed else M)
+    # Clearing: the unit pivot rows of the neighbouring map, reduced first,
+    # index columns that the remaining columns already generate.
+    if transposed:
+        cleared = _reduction(K, i - 1, False, True).pivot_rows if i >= 2 else frozenset()
+    else:
+        cleared = _reduction(K, i + 1, False).pivot_rows if i < K.dimension else frozenset()
+    return smith_normal_form(_build_boundary(K, i, reduced, cleared, transposed))
 
 
 def _rank(K, i, reduced, transposed):

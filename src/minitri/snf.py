@@ -12,10 +12,12 @@ residual, which has no unit entry left, is diagonalized on the same
 rows by Euclid's algorithm: pivot on an entry of least magnitude, leave
 remainders in its column by row operations and then in its row by
 column operations, and pivot again on any remainder, which is smaller.
-The invariant factors are read off the diagonal: units first, then each
-pair of other entries replaced by their gcd and lcm, which leaves
-d_1 | d_2 | ....  Python integers are arbitrary precision, so no
-overflow guard is needed.
+Pivots come from a heap of entries and columns keep an index of their
+rows, so a residual of many small blocks costs near-linear time.  The
+invariant factors are read off the diagonal: units first, then the
+other entries merged into a chain d_1 | d_2 | ... by gcd and lcm.
+Python integers are arbitrary precision, so no overflow guard is
+needed.
 
 The rank over F_p is the number of invariant factors that p does not
 divide (see ``rank_mod_p``), so no elimination runs modulo p.
@@ -23,7 +25,8 @@ divide (see ``rank_mod_p``), so no elimination runs modulo p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -36,10 +39,18 @@ class SNFResult:
 
     ``invariant_factors`` are the positive diagonal entries of the Smith
     normal form in divisibility order; ``rank`` is their count.
+
+    ``pivot_rows`` holds the rows of the unit pivots taken before the
+    residual: the rows R of a set of pivots whose block A[R, C] has
+    determinant +-1.  If B A = 0, the columns R of B are then integer
+    combinations of its other columns, which is what lets homology clear
+    them.  Residual pivots are not included.  It takes no part in
+    comparisons or ``as_dict``.
     """
 
     shape: tuple
     invariant_factors: tuple
+    pivot_rows: frozenset = field(default=frozenset(), compare=False)
 
     @property
     def rank(self) -> int:
@@ -108,8 +119,8 @@ def _sparse_rows(matrix):
     return shape, rows
 
 
-def _eliminate(rows) -> int:
-    """Pivot ``rows`` in place on entries +-1 and return the number of pivots.
+def _eliminate(rows) -> list:
+    """Pivot ``rows`` in place on entries +-1 and return the pivot rows.
 
     ``rows`` is left holding the residual, which has no unit entry.
     """
@@ -122,7 +133,7 @@ def _eliminate(rows) -> int:
     # again, so a column left behind has no pivot since its last change.
     heap = [(len(col), j) for j, col in cols.items()]
     heapify(heap)
-    pivots = 0
+    pivots = []
     while heap:
         count, j = heappop(heap)
         col = cols.get(j)
@@ -164,7 +175,7 @@ def _eliminate(rows) -> int:
                 heappush(heap, (len(cols[c]), c))
             else:
                 del cols[c]
-        pivots += 1
+        pivots.append(best)
     return pivots
 
 
@@ -175,17 +186,9 @@ def smith_normal_form(matrix) -> SNFResult:
     with ``.tolist()`` and ``.shape`` such as a numpy array.
     """
     shape, rows = _sparse_rows(matrix)
-    units = _eliminate(rows)
-    diagonal = _reduce_residual(rows)
-    units += diagonal.count(1)
-    d = [x for x in diagonal if x != 1]
-    # diag(a, b) and diag(gcd, lcm) have the same Smith normal form; after
-    # position a has met every later one, it divides all of them.
-    for a in range(len(d)):
-        for b in range(a + 1, len(d)):
-            g = gcd(d[a], d[b])
-            d[a], d[b] = g, d[a] // g * d[b]
-    return SNFResult(shape, (1,) * units + tuple(d))
+    pivots = _eliminate(rows)
+    chain = _divisibility_chain(_reduce_residual(rows))
+    return SNFResult(shape, (1,) * len(pivots) + chain, frozenset(pivots))
 
 
 def _reduce_residual(rows) -> list:
@@ -198,37 +201,76 @@ def _reduce_residual(rows) -> list:
     next step pivots on it (Euclid's algorithm).  A pivot left alone in
     its row and column is recorded and its row dropped.
     """
+    # Lazy priority queue of (|entry|, row, column): every entry written is
+    # pushed, and a popped one is stale unless it still holds that value.
+    cols, heap = {}, []
+    for i, row in rows.items():
+        for j, v in row.items():
+            cols.setdefault(j, set()).add(i)
+            heap.append((abs(v), i, j))
+    heapify(heap)
+
+    def put(k, row, c, new):
+        if new:
+            if c not in row:
+                cols[c].add(k)
+            row[c] = new
+            heappush(heap, (abs(new), k, c))
+        else:
+            del row[c]
+            cols[c].discard(k)
+
     diagonal = []
-    while rows:
-        _, i, j = min((abs(v), i, j) for i, row in rows.items() for j, v in row.items())
-        prow = rows[i]
+    while heap:
+        a, i, j = heappop(heap)
+        prow = rows.get(i)
+        if prow is None or abs(prow.get(j, 0)) != a:
+            continue
         v = prow[j]
         dirty = False
-        for k in [k for k, row in rows.items() if j in row and k != i]:
+        for k in [k for k in cols[j] if k != i]:
             row = rows[k]
             f = row[j] // v
             for c, w in prow.items():
-                new = row.get(c, 0) - f * w
-                if new:
-                    row[c] = new
-                else:
-                    del row[c]
+                put(k, row, c, row.get(c, 0) - f * w)
             if j in row:
                 dirty = True
             elif not row:
                 del rows[k]
-        if dirty:
-            continue
-        for c in [c for c in prow if c != j]:
-            prow[c] %= v
-            if prow[c]:
-                dirty = True
-            else:
-                del prow[c]
         if not dirty:
-            diagonal.append(abs(v))
-            del rows[i]
+            for c in [c for c in prow if c != j]:
+                put(i, prow, c, prow[c] % v)
+                dirty = dirty or c in prow
+        if dirty:  # the pivot stays; later steps need not write to it again
+            heappush(heap, (a, i, j))
+        else:
+            diagonal.append(a)
+            del rows[i], cols[j]
     return diagonal
+
+
+def _divisibility_chain(values) -> tuple:
+    """Invariant factors d_1 | d_2 | ... of the diagonal matrix diag(values).
+
+    diag(a, b) and diag(gcd, lcm) have the same Smith normal form.  Each
+    value enters the chain from the top: an entry c becomes lcm(c, x) and
+    gcd(c, x) moves on down as x, which leaves a chain again.  Entries
+    are kept with multiplicities, and x passes the lower copies of an
+    entry unchanged; distinct entries of a chain at least double, so
+    there are few of them.
+    """
+    chain = Counter()
+    for x in values:
+        for c in sorted(chain, reverse=True):
+            g = gcd(c, x)
+            if g != x:
+                chain[c // g * x] += 1
+                chain[c] -= 1
+                if not chain[c]:
+                    del chain[c]
+            x = g
+        chain[x] += 1
+    return tuple(sorted(chain.elements()))
 
 
 def rank_mod_p(matrix, p: int) -> int:

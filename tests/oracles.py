@@ -4,7 +4,9 @@ Deliberately slow and structurally different from the shipped code:
 recursive gcd-to-corner elimination on Python lists for Smith forms,
 determinantal-divisor ratios for small matrices, a bare-hands
 fraction-free determinant, dense Gaussian elimination over F_p for
-mod-p ranks, Tietze simplification that recounts
+mod-p ranks, homology profiles from one Smith form per whole boundary
+map (no clearing, Z_p Betti numbers from ranks mod p rather than by
+universal coefficients), Tietze simplification that recounts
 every generator over every relator for each candidate move, a
 quotient search that tries every permutation for every generator and
 checks relators in the order given, and a small-link certificate that
@@ -20,7 +22,8 @@ from math import gcd
 from minitri.combinatorial import CombinatorialityCertificate, LevelSummary
 from minitri.complexes import from_facets
 from minitri.errors import DimensionError, NotPseudomanifoldError
-from minitri.homology import homology
+from minitri.homology import boundary_matrix, homology
+from minitri.snf import smith_normal_form
 from minitri.pi1 import (
     GroupPresentation,
     _canonical_cyclic,
@@ -138,6 +141,34 @@ def rank_mod_p_naive(matrix, p):
                 A[r] = [(a - f * b) % p for a, b in zip(A[r], A[rank])]
         rank += 1
     return rank
+
+
+def profile_per_map(K, coeff="Z", reduced=False, kind="homology"):
+    """Profile groups (dim, betti, torsion) from one SNF per whole boundary map.
+
+    Each map (transposed for cohomology) is built in full and reduced on
+    its own, so no map's pivots shape another's matrix.  Over Z_p the
+    Betti numbers are f_i - rk_p(d_i) - rk_p(d_{i+1}), with rk_p the
+    count of invariant factors that p does not divide.
+    """
+    p = None if coeff == "Z" else int(coeff[1:])
+    factors = {}
+    for i in range(0 if reduced else 1, K.dimension + 1):
+        M = boundary_matrix(K, i, reduced).matrix
+        factors[i] = smith_normal_form(M.transpose() if kind == "cohomology" else M).invariant_factors
+
+    def rank(i):
+        return sum(1 for d in factors.get(i, ()) if p is None or d % p)
+
+    groups = []
+    for i in range(-1 if reduced else 0, K.dimension + 1):
+        f = 1 if i == -1 else len(K.faces(i))
+        t = i if kind == "cohomology" else i + 1
+        torsion = tuple(d for d in factors.get(t, ()) if d != 1) if p is None else ()
+        betti = f - rank(i) - rank(i + 1)
+        if betti or torsion:
+            groups.append((i, betti, torsion))
+    return tuple(groups)
 
 
 def random_matrix(rng, max_dim=8, lo=-9, hi=9):

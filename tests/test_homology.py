@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minitri import facetio, fixtures
 from minitri.bounds import homology_sphere_verdict
@@ -23,7 +25,9 @@ from minitri.homology import (
     is_homology_sphere,
 )
 
-from oracles import rank_mod_p_naive, random_complex, suspension
+from minitri.snf import SparseMatrix, smith_normal_form
+
+from oracles import profile_per_map, rank_mod_p_naive, random_complex, suspension
 
 # the package attribute minitri.homology is the function, not the module
 homology_module = importlib.import_module("minitri.homology")
@@ -135,14 +139,22 @@ def test_euler_matches_alternating_betti():
 
 @pytest.mark.parametrize("d", [7, 8])
 def test_wide_cross_polytope_is_sphere(d):
-    # boundary matrices up to 4032 x 5376 for d = 8
+    # boundary maps up to 4032 x 5376 for d = 8, before clearing
     K = fixtures.cross_polytope(d)
     assert homology(K, reduced=True).is_sphere(d)
+    if d == 7:
+        assert cohomology(K, reduced=True).is_sphere(d)
+    # each pruned matrix is dropped once reduced; only the reductions stay
+    assert not any(isinstance(v, SparseMatrix) for v in K._cache.values())
 
 
 def test_reductions_memoized_once_per_map(monkeypatch):
-    # Reduced homology reuses every map of degree >= 1 and reduces only the
-    # augmented degree-0 map; cohomology still runs its own transposed SNFs.
+    # Homology reduces top-down: each map loses the columns that are unit
+    # pivot rows of the map above it, so d_i is reduced as f_{i-1} x
+    # (f_i - r_{i+1}).  Reduced homology adds only the augmented degree-0
+    # map.  Cohomology reduces its transposed maps bottom-up with its own
+    # pivots, so d_i^T is reduced as f_i x (f_{i-1} - r_{i-1}), except for
+    # the augmented degree-0 map, which clears nothing.
     shapes = []
     real = homology_module.smith_normal_form
 
@@ -153,11 +165,77 @@ def test_reductions_memoized_once_per_map(monkeypatch):
     monkeypatch.setattr(homology_module, "smith_normal_form", counting)
     K = fixtures.cross_polytope(3)
     f = K.f_vector()
+    # a 3-sphere: every rank is reached by unit pivots alone
+    r = {4: 0, 3: f[3] - 1}
+    for i in (2, 1):
+        r[i] = f[i] - r[i + 1]
+    r[0] = f[0] - r[1]
+    assert r[0] == 1
     homology(K)
+    assert shapes == [(f[i - 1], f[i] - r[i + 1]) for i in (3, 2, 1)]
     homology(K, reduced=True)
-    assert shapes == [(f[i - 1], f[i]) for i in (1, 2, 3)] + [(1, f[0])]
+    homology(K, "Z2", reduced=True)
+    assert shapes[3:] == [(1, f[0] - r[1])]
+    del shapes[:]
     cohomology(K)
-    assert shapes[4:] == [(f[i], f[i - 1]) for i in (1, 2, 3)]
+    cohomology(K, reduced=True)
+    assert shapes == [(f[1], f[0]), (f[2], f[1] - r[1]), (f[3], f[2] - r[2]), (f[0], 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=5, unique=True),
+        min_size=1,
+        max_size=10,
+    ),
+    st.booleans(),
+)
+def test_pruning_by_neighbour_pivots_keeps_invariant_factors(facets, reduced):
+    # Columns that are unit pivot rows of the neighbouring map are integer
+    # combinations of the other columns, so dropping them changes nothing.
+    K = from_facets(facets)
+    for i in range(0 if reduced else 1, K.dimension + 1):
+        full = boundary_matrix(K, i, reduced).matrix
+        if i < K.dimension:
+            above = smith_normal_form(boundary_matrix(K, i + 1).matrix)
+            pruned = homology_module._build_boundary(K, i, reduced, above.pivot_rows)
+            assert pruned.shape[1] == full.shape[1] - len(above.pivot_rows)
+            got = smith_normal_form(pruned).invariant_factors
+            assert got == smith_normal_form(full).invariant_factors, (facets, i)
+        if i >= 2:
+            below = smith_normal_form(boundary_matrix(K, i - 1).matrix.transpose())
+            pruned = homology_module._build_boundary(K, i, reduced, below.pivot_rows, transposed=True)
+            got = smith_normal_form(pruned).invariant_factors
+            assert got == smith_normal_form(full.transpose()).invariant_factors, (facets, i)
+
+
+def _clearing_complexes():
+    rng = random.Random(2011)
+    out = []
+    for n in range(40):
+        K = random_complex(rng)
+        if n % 4 == 0:  # non-pure, with an isolated vertex
+            K = from_facets(K.facets + ((50,),))
+        out += [K, suspension(K, 101, 102)]
+    K = fixtures.rp2_6()
+    for k in range(5):
+        out.append(K)  # Sigma^k RP^2
+        K = suspension(K, 200 + 2 * k, 201 + 2 * k)
+    facets = fixtures.rp2_6().facets
+    out.append(from_facets([tuple(10 * c + v for v in F) for c in range(200) for F in facets]))
+    out.append(fixtures.rp2_6().full_subcomplex(()))
+    out += [from_facets([(1,)]), from_facets([(1,), (2,), (3,)])]
+    return out
+
+
+def test_clearing_matches_per_map_oracle():
+    for K in _clearing_complexes():
+        for reduced in (False, True):
+            for coeff in ("Z", "Z2", "Z3"):
+                for fn in (homology, cohomology):
+                    expected = profile_per_map(K, coeff, reduced, fn.__name__)
+                    assert fn(K, coeff, reduced).groups == expected, (K.facets, coeff, reduced, fn.__name__)
 
 
 def _drop_one_rank(monkeypatch):
