@@ -27,16 +27,17 @@ R' being the other rows, with integer entries.  So the dropped columns
 are integer combinations of the kept ones: the column lattice of d_i,
 hence its rank and invariant factors, is unchanged.  Only the unit
 pivots of ``snf``'s first phase clear; pivots of its Euclid residual do
-not.  Each map is built with the cleared columns already left out.
+not.  Each map is built with the cleared faces already left out.
 
 Cohomology over Z reduces the transposed maps bottom-up and clears with
 their own unit pivots (de Silva, Morozov and Vejdemo-Johansson,
-arXiv:1107.5665): d_{i-1}^T's pivot rows, which are (i-1)-faces, drop
-columns of d_i^T.  The augmented degree-0 map clears nothing, so only
-its own reduction depends on ``reduced``.  Cohomology is then checked
-against homology via universal coefficients; the check is a real one
-because no reduction or pivot is shared between the two sides.  A
-failed check raises CrossCheckError.
+arXiv:1107.5665): d_{i-1}^T's pivot rows, which are (i-1)-faces, are
+left out as rows of d_i, which is then transposed.  The augmented
+degree-0 map clears nothing, so only its own reduction depends on
+``reduced``.  Cohomology is then checked against homology via
+universal coefficients; the check is a real one because no reduction
+or pivot is shared between the two sides.  A failed check raises
+CrossCheckError.
 
 ``_reduction`` is the only reduction cache: it memoizes one SNF per
 boundary map and orientation on the complex, so homology, its reduced
@@ -156,35 +157,32 @@ class BoundaryMatrix:
         return (len(self.row_simplices), len(self.col_simplices))
 
 
-def _build_boundary(K: SimplicialComplex, i: int, reduced: bool, cleared=frozenset(), transposed=False):
-    """Matrix of the boundary map at chain degree i, or of its transpose.
+def _build_boundary(K: SimplicialComplex, i: int, reduced: bool, cleared=frozenset(), clear_rows=False):
+    """Matrix of the boundary map at chain degree i, over id-level faces.
 
-    Rows and columns are indexed by id-level faces in ``_ifaces`` order.
-    Columns whose face index is in ``cleared`` are left out and the rest
-    are renumbered in order; row indices stay face indices.
+    Rows and columns are indexed in ``_ifaces`` order.  Faces whose index
+    is in ``cleared`` are left out, as columns (i-faces) or, with
+    ``clear_rows``, as rows ((i-1)-faces); the other faces on that side
+    are renumbered in order, and the opposite side keeps face indices.
     """
-    upper = K._ifaces(i)
-    lower = K._ifaces(i - 1) if i else [()] if reduced else []
-    index = {s: r for r, s in enumerate(lower)}
-    column = {}
-    for r in range(len(lower if transposed else upper)):
-        if r not in cleared:
-            column[r] = len(column)
+    cols = K._ifaces(i)
+    faces = K._ifaces(i - 1) if i else [()] if reduced else []
+    dropped_rows, dropped_cols = (cleared, ()) if clear_rows else ((), cleared)
+    index = {}
+    for r, s in enumerate(faces):
+        if r not in dropped_rows:
+            index[s] = len(index)
     rows = {}
-    for k, s in enumerate(upper if lower else ()):
-        if transposed:
-            row = {}
-            for j in range(i + 1):
-                c = column.get(index[s[:j] + s[j + 1 :]])
-                if c is not None:
-                    row[c] = -1 if j % 2 else 1
-            if row:
-                rows[k] = row
-        elif k in column:
-            c = column[k]
-            for j in range(i + 1):
-                rows.setdefault(index[s[:j] + s[j + 1 :]], {})[c] = -1 if j % 2 else 1
-    return SparseMatrix((len(upper) if transposed else len(lower), len(column)), rows)
+    c = 0
+    for k, s in enumerate(cols):
+        if k in dropped_cols:
+            continue
+        for j in range(i + 1):
+            r = index.get(s[:j] + s[j + 1 :])
+            if r is not None:
+                rows.setdefault(r, {})[c] = -1 if j % 2 else 1
+        c += 1
+    return SparseMatrix((len(index), c), rows)
 
 
 def boundary_matrix(K: SimplicialComplex, i: int, reduced: bool = False) -> BoundaryMatrix:
@@ -212,12 +210,14 @@ def _reduction(K: SimplicialComplex, i: int, reduced: bool, transposed=False):
 
 def _reduce(K, i, reduced, transposed):
     # Clearing: the unit pivot rows of the neighbouring map, reduced first,
-    # index columns that the remaining columns already generate.
+    # index columns that the remaining columns already generate: columns
+    # of d_i for homology, rows of d_i (columns of d_i^T) for cohomology.
     if transposed:
         cleared = _reduction(K, i - 1, False, True).pivot_rows if i >= 2 else frozenset()
     else:
         cleared = _reduction(K, i + 1, False).pivot_rows if i < K.dimension else frozenset()
-    return smith_normal_form(_build_boundary(K, i, reduced, cleared, transposed))
+    M = _build_boundary(K, i, reduced, cleared, clear_rows=transposed)
+    return smith_normal_form(M.transpose() if transposed else M)
 
 
 def _rank(K, i, reduced, transposed):

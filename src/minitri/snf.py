@@ -12,12 +12,10 @@ residual, which has no unit entry left, is diagonalized on the same
 rows by Euclid's algorithm: pivot on an entry of least magnitude, leave
 remainders in its column by row operations and then in its row by
 column operations, and pivot again on any remainder, which is smaller.
-Pivots come from a heap of entries and columns keep an index of their
-rows, so a residual of many small blocks costs near-linear time.  The
-invariant factors are read off the diagonal: units first, then the
-other entries merged into a chain d_1 | d_2 | ... by gcd and lcm.
-Python integers are arbitrary precision, so no overflow guard is
-needed.
+The invariant factors are read off the diagonal: units first, then each
+pair of other entries replaced by their gcd and lcm, which leaves
+d_1 | d_2 | ....  Python integers are arbitrary precision, so no
+overflow guard is needed.
 
 The rank over F_p is the number of invariant factors that p does not
 divide (see ``rank_mod_p``), so no elimination runs modulo p.
@@ -25,7 +23,6 @@ divide (see ``rank_mod_p``), so no elimination runs modulo p.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -187,8 +184,16 @@ def smith_normal_form(matrix) -> SNFResult:
     """
     shape, rows = _sparse_rows(matrix)
     pivots = _eliminate(rows)
-    chain = _divisibility_chain(_reduce_residual(rows))
-    return SNFResult(shape, (1,) * len(pivots) + chain, frozenset(pivots))
+    diagonal = _reduce_residual(rows)
+    units = len(pivots) + diagonal.count(1)
+    d = [x for x in diagonal if x != 1]
+    # diag(a, b) and diag(gcd, lcm) have the same Smith normal form; after
+    # position a has met every later one, it divides all of them.
+    for a in range(len(d)):
+        for b in range(a + 1, len(d)):
+            g = gcd(d[a], d[b])
+            d[a], d[b] = g, d[a] // g * d[b]
+    return SNFResult(shape, (1,) * units + tuple(d), frozenset(pivots))
 
 
 def _reduce_residual(rows) -> list:
@@ -201,76 +206,37 @@ def _reduce_residual(rows) -> list:
     next step pivots on it (Euclid's algorithm).  A pivot left alone in
     its row and column is recorded and its row dropped.
     """
-    # Lazy priority queue of (|entry|, row, column): every entry written is
-    # pushed, and a popped one is stale unless it still holds that value.
-    cols, heap = {}, []
-    for i, row in rows.items():
-        for j, v in row.items():
-            cols.setdefault(j, set()).add(i)
-            heap.append((abs(v), i, j))
-    heapify(heap)
-
-    def put(k, row, c, new):
-        if new:
-            if c not in row:
-                cols[c].add(k)
-            row[c] = new
-            heappush(heap, (abs(new), k, c))
-        else:
-            del row[c]
-            cols[c].discard(k)
-
     diagonal = []
-    while heap:
-        a, i, j = heappop(heap)
-        prow = rows.get(i)
-        if prow is None or abs(prow.get(j, 0)) != a:
-            continue
+    while rows:
+        _, i, j = min((abs(v), i, j) for i, row in rows.items() for j, v in row.items())
+        prow = rows[i]
         v = prow[j]
         dirty = False
-        for k in [k for k in cols[j] if k != i]:
+        for k in [k for k, row in rows.items() if j in row and k != i]:
             row = rows[k]
             f = row[j] // v
             for c, w in prow.items():
-                put(k, row, c, row.get(c, 0) - f * w)
+                new = row.get(c, 0) - f * w
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
             if j in row:
                 dirty = True
             elif not row:
                 del rows[k]
+        if dirty:
+            continue
+        for c in [c for c in prow if c != j]:
+            prow[c] %= v
+            if prow[c]:
+                dirty = True
+            else:
+                del prow[c]
         if not dirty:
-            for c in [c for c in prow if c != j]:
-                put(i, prow, c, prow[c] % v)
-                dirty = dirty or c in prow
-        if dirty:  # the pivot stays; later steps need not write to it again
-            heappush(heap, (a, i, j))
-        else:
-            diagonal.append(a)
-            del rows[i], cols[j]
+            diagonal.append(abs(v))
+            del rows[i]
     return diagonal
-
-
-def _divisibility_chain(values) -> tuple:
-    """Invariant factors d_1 | d_2 | ... of the diagonal matrix diag(values).
-
-    diag(a, b) and diag(gcd, lcm) have the same Smith normal form.  Each
-    value enters the chain from the top: an entry c becomes lcm(c, x) and
-    gcd(c, x) moves on down as x, which leaves a chain again.  Entries
-    are kept with multiplicities, and x passes the lower copies of an
-    entry unchanged; distinct entries of a chain at least double, so
-    there are few of them.
-    """
-    chain = Counter()
-    for x in values:
-        for c in sorted(chain, reverse=True):
-            g = gcd(c, x)
-            if g != x:
-                chain[c // g * x] += 1
-                chain[c] -= 1
-                if not chain[c]:
-                    del chain[c]
-            x = g
-        chain[x] += 1
-    return tuple(sorted(chain.elements()))
 
 
 def rank_mod_p(matrix, p: int) -> int:
