@@ -173,17 +173,6 @@ def _substitute(word, target, replacement):
     return _free_reduce(out)
 
 
-def _drop_generator(relators, target):
-    # Reindex generators above `target` down by one.
-    def shift(g):
-        a = abs(g)
-        if a > target:
-            a -= 1
-        return a if g > 0 else -a
-
-    return [tuple(shift(g) for g in r) for r in relators]
-
-
 def _canonical_cyclic(word):
     # Least rotation of the word or its inverse, for duplicate detection.
     if not word:
@@ -205,66 +194,106 @@ def _once(word):
 def tietze_simplify(P: GroupPresentation, effort_budget: int = 10000) -> GroupPresentation:
     """Shrink a presentation without changing the group.
 
-    Moves: cyclic/free reduction, dropping empty and duplicate relators,
-    killing generators with length-1 relators, and eliminating a
-    generator that occurs exactly once in some relator (substituting the
-    solved word elsewhere).  Runs to a fixpoint or until the budget of
-    individual moves is spent.
+    Relators are cyclically reduced first.  Each step then drops empty
+    relators and cyclic duplicates (a rotation of another relator or of
+    its inverse; the earlier relator of P is kept) and makes one move:
+    it eliminates a generator g that occurs exactly once in a relator r,
+    removing r and substituting the word that r solves for g into the
+    other relators.  The move chosen is the least
+    ``(len(r) - 1, occurrences of g outside r, position of r, g)``, with
+    positions and generator numbers as in P; the test oracle
+    ``tietze_simplify_naive`` in tests/oracles.py checks this order.
+    A move costs work in proportion to the relators that contain g, and
+    only those are re-keyed for the duplicate check.
+
+    Runs until no move is left or ``effort_budget`` moves are made.
+    Duplicates are dropped before each move, not after the last one:
+    when the budget runs out right after a move, or is 0, the result
+    drops only empty relators and exact duplicates, so relators that the
+    last move changed may still be cyclic duplicates.  The surviving
+    generators are renumbered 1..n in their order in P, and the
+    relators sorted.
     """
-    ngens = P.ngens
-    relators = [_cyclic_reduce(r) for r in P.relators]
+    rels = {}  # stable id (position in P) -> cyclically reduced word
+    # Surviving generator -> ids of the relators containing it.
+    occ = {g: set() for g in range(1, P.ngens + 1)}
+    total = Counter()  # generator -> occurrences in all relators
+    once = {}  # id -> generators occurring exactly once in it, if any
+    # Canonical cyclic form -> id of the deduplicated relator that has it.
+    # A relator's form changes only when a move eliminates a generator in
+    # it, so no relator can take an outdated entry's form again.
+    keys = {}
+
+    def add(i, r):
+        rels[i] = r
+        counts = {}
+        for x in r:
+            counts[abs(x)] = counts.get(abs(x), 0) + 1
+        for g, c in counts.items():
+            total[g] += c
+            occ[g].add(i)
+        gs = [g for g, c in counts.items() if c == 1]
+        if gs:
+            once[i] = gs
+
+    def remove(i):
+        for x in rels.pop(i):
+            total[abs(x)] -= 1
+            occ[abs(x)].discard(i)
+        once.pop(i, None)
+
+    def dedup(ids):
+        for i in ids:
+            if not rels[i]:
+                remove(i)
+                continue
+            key = _canonical_cyclic(rels[i])
+            j = keys.setdefault(key, i)
+            if j != i:  # the earlier relator of P stays
+                remove(max(i, j))
+                keys[key] = min(i, j)
+
+    for i, r in enumerate(P.relators):
+        add(i, _cyclic_reduce(r))
+    changed = set(rels)
     budget = effort_budget
-
-    changed = True
-    while changed and budget > 0:
-        changed = False
-
-        # Empty and duplicate relators say nothing.
-        seen = set()
-        kept = []
-        for r in relators:
-            if not r:
-                changed = True
-                continue
-            key = _canonical_cyclic(r)
-            if key in seen:
-                changed = True
-                continue
-            seen.add(key)
-            kept.append(r)
-        relators = kept
-
-        # Pick the cheapest elimination: a relator containing some
-        # generator exactly once; solving for it substitutes a word of
-        # length len(r) - 1 at the total - 1 other occurrences.
-        total = Counter(abs(x) for r in relators for x in r)
+    while budget > 0:
+        dedup(changed)
         best = None
-        for ri, r in enumerate(relators):
-            for g in _once(r):
-                cost = (len(r) - 1, total[g] - 1, ri, g)
+        for i, gs in once.items():
+            n = len(rels[i]) - 1
+            if best is not None and n > best[0]:
+                continue
+            for g in gs:
+                cost = (n, total[g] - 1, i, g)
                 if best is None or cost < best:
                     best = cost
-        if best is not None and budget > 0:
-            _, _, ri, g = best
-            r = relators[ri]
-            pos = next(i for i, x in enumerate(r) if abs(x) == g)
-            # Rotate the occurrence to the front; r ~ g w  =>  g = w^-1
-            # (or g^-1 w => g = w).
-            rot = r[pos:] + r[:pos]
-            rest = rot[1:]
-            word = tuple(-x for x in reversed(rest)) if rot[0] == g else rest
-            relators = [
-                _cyclic_reduce(_substitute(rr, g, word))
-                for rj, rr in enumerate(relators)
-                if rj != ri
-            ]
-            relators = _drop_generator(relators, g)
-            ngens -= 1
-            budget -= 1
-            changed = True
+        if best is None:
+            break
+        _, _, ri, g = best
+        r = rels[ri]
+        pos = next(i for i, x in enumerate(r) if abs(x) == g)
+        # Rotate the occurrence to the front; r ~ g w  =>  g = w^-1
+        # (or g^-1 w => g = w).
+        rot = r[pos:] + r[:pos]
+        rest = rot[1:]
+        word = tuple(-x for x in reversed(rest)) if rot[0] == g else rest
+        remove(ri)
+        changed = set(occ[g])
+        for j in changed:
+            new = _cyclic_reduce(_substitute(rels[j], g, word))
+            remove(j)
+            add(j, new)
+        del occ[g]
+        budget -= 1
 
-    relators = [r for r in relators if r]
-    return GroupPresentation(ngens=ngens, relators=tuple(sorted(set(relators))))
+    number = {g: k for k, g in enumerate(occ, 1)}
+    relators = {
+        tuple(number[x] if x > 0 else -number[-x] for x in r)
+        for r in rels.values()
+        if r
+    }
+    return GroupPresentation(ngens=len(number), relators=tuple(sorted(relators)))
 
 
 @dataclass(frozen=True)

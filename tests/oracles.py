@@ -28,7 +28,6 @@ from minitri.pi1 import (
     GroupPresentation,
     _canonical_cyclic,
     _cyclic_reduce,
-    _drop_generator,
     _relator_image,
     _substitute,
 )
@@ -193,6 +192,17 @@ def suspension(K, a, b):
     return from_facets(
         [f + (a,) for f in K.facets] + [f + (b,) for f in K.facets]
     )
+
+
+def _drop_generator(relators, target):
+    # Reindex generators above `target` down by one.
+    def shift(g):
+        a = abs(g)
+        if a > target:
+            a -= 1
+        return a if g > 0 else -a
+
+    return [tuple(shift(g) for g in r) for r in relators]
 
 
 def tietze_simplify_naive(P, effort_budget=10000):

@@ -10,6 +10,7 @@ from minitri.homology import homology
 from minitri.pi1 import (
     FreenessVerdict,
     GroupPresentation,
+    _canonical_cyclic,
     _free_reduce,
     _quotient_search,
     _relator_image,
@@ -103,6 +104,13 @@ def test_unknown_says_why():
     assert (torus.status, torus.reason) == ("UNKNOWN", "no-certificate-found")
 
 
+def _stellar_subdivision(K):
+    # Cone a fresh vertex over the boundary of the first facet.
+    F, *rest = K.facets
+    v = max(K.vertices) + 1
+    return from_facets(rest + [tuple(x for x in F if x != y) + (v,) for y in F])
+
+
 def _oracle_presentations():
     for K in (
         fixtures.cp2_9(),
@@ -112,6 +120,15 @@ def _oracle_presentations():
     ):
         for seed in range(20):
             yield edge_path_presentation(K, rng=seed)
+    # 31-36 generators and 80-100 relators, near the largest presentations
+    # of bistellar-randomized 4-manifolds (32-44 and 94-120).
+    for K in (
+        fixtures.cross_polytope(4),
+        fixtures.cyclic_polytope(10, 5),
+        _stellar_subdivision(fixtures.cp2_9()),
+    ):
+        for seed in range(3):
+            yield edge_path_presentation(K, rng=seed)
     rng = random.Random(21)
     for _ in range(40):
         K = random_complex(rng)
@@ -119,12 +136,62 @@ def _oracle_presentations():
             yield edge_path_presentation(K)
 
 
+def _assert_same_as_oracle(P, budget):
+    got = tietze_simplify(P, effort_budget=budget)
+    want = tietze_simplify_naive(P, effort_budget=budget)
+    assert (got.ngens, got.relators) == (want.ngens, want.relators), (P, budget)
+    return got
+
+
 @pytest.mark.parametrize("budget", [10000, 3, 1])
 def test_tietze_matches_naive_oracle(budget):
     for P in _oracle_presentations():
-        got = tietze_simplify(P, effort_budget=budget)
-        want = tietze_simplify_naive(P, effort_budget=budget)
-        assert (got.ngens, got.relators) == (want.ngens, want.relators)
+        _assert_same_as_oracle(P, budget)
+
+
+def _has_cyclic_duplicates(Q):
+    return len({_canonical_cyclic(r) for r in Q.relators}) < len(Q.relators)
+
+
+def test_tietze_budget_sweep_matches_naive_oracle():
+    # Every budget up to the length of the unbounded run.  When the budget
+    # runs out right after a move, the relators that move changed are not
+    # checked for cyclic duplicates; some budgets here leave such pairs.
+    for P in (
+        edge_path_presentation(fixtures.cross_polytope(3), rng=0),
+        edge_path_presentation(fixtures.cyclic_polytope(9, 4), rng=0),
+    ):
+        moves = P.ngens - tietze_simplify(P).ngens
+        assert moves > 15
+        left = [
+            budget
+            for budget in range(moves + 1)
+            if _has_cyclic_duplicates(_assert_same_as_oracle(P, budget))
+        ]
+        assert left and not _has_cyclic_duplicates(tietze_simplify(P))
+
+
+def _random_general_presentations(count, seed):
+    # 2-5 generators and 1-6 freely reduced relators of length 1-12, so
+    # substitutions are long and repeated letters and inverses meet.
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(2, 5)
+        letters = [g for a in range(1, n + 1) for g in (a, -a)]
+        relators = []
+        for _ in range(rng.randint(1, 6)):
+            word = _free_reduce(rng.choice(letters) for _ in range(rng.randint(1, 16)))
+            if 1 <= len(word) <= 12:
+                relators.append(word)
+        if relators:
+            count -= 1
+            yield GroupPresentation(n, tuple(relators))
+
+
+def test_tietze_matches_naive_oracle_on_general_presentations():
+    for P in _random_general_presentations(600, seed=11):
+        for budget in (10000, 2, 1, 0):
+            _assert_same_as_oracle(P, budget)
 
 
 def test_presentation_validation():
