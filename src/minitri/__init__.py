@@ -3,32 +3,14 @@
 Facet-list complexes with exact integer homology, edge-path fundamental
 group analysis, vertex-count lower bounds for manifold triangulations,
 and combinatoriality certificates driven by link size and homology.
+
+``errors``, ``complexes``, ``snf`` and ``homology`` load with the package,
+other names on first use.  ``homology`` stays eager: importing its
+submodule binds the module over the function; the eager import rebinds it.
 """
 
-from .bounds import (
-    BoundReport,
-    analyze,
-    cat_vertex_bound,
-    ct_lower_bound_from_hdim,
-    homology_sphere_verdict,
-    nonfree_pi1_bound,
-    simply_connected_bound,
-    sphere_recognition_threshold,
-    wedge_covering_type,
-)
-from .combinatorial import (
-    BistellarMove,
-    BistellarResult,
-    CombinatorialityCertificate,
-    LevelSummary,
-    apply_bistellar_move,
-    bistellar_moves,
-    bistellar_sphere_heuristic,
-    certified_sphere,
-    recognize_2sphere,
-    recognize_circle,
-    small_link_certificate,
-)
+from importlib import import_module as _import_module
+
 from .complexes import PseudomanifoldReport, SimplicialComplex, from_facets
 from .errors import (
     CoefficientError,
@@ -43,8 +25,6 @@ from .errors import (
     NotPseudomanifoldError,
     VertexSetError,
 )
-from .facetio import dump, dumps, load, load_assertions, loads, parse_assertions
-from .fixtures import fixture, fixture_names
 from .homology import (
     HomologyProfile,
     boundary_matrix,
@@ -53,27 +33,32 @@ from .homology import (
     homology,
     is_homology_sphere,
 )
-from .pi1 import (
-    AbelianInvariants,
-    FreenessVerdict,
-    GroupPresentation,
-    abelianization,
-    edge_path_presentation,
-    find_symmetric_quotient,
-    freeness_verdict,
-    tietze_simplify,
-    validate_not_free_certificate,
-)
 from .snf import SNFResult, rank_mod_p, smith_normal_form
-from .verify import (
-    CheckReport,
-    GroupComparison,
-    LinkSphereCheck,
-    alexander_duality_check,
-    complement_homology_check,
-    local_homology_check,
-    local_homology_sweep,
-)
+
+_LAZY = {
+    "bounds": (
+        "BoundReport", "analyze", "cat_vertex_bound", "ct_lower_bound_from_hdim",
+        "homology_sphere_verdict", "nonfree_pi1_bound", "simply_connected_bound",
+        "sphere_recognition_threshold", "wedge_covering_type",
+    ),
+    "combinatorial": (
+        "BistellarMove", "BistellarResult", "CombinatorialityCertificate", "LevelSummary",
+        "apply_bistellar_move", "bistellar_moves", "bistellar_sphere_heuristic",
+        "certified_sphere", "recognize_2sphere", "recognize_circle", "small_link_certificate",
+    ),
+    "facetio": ("dump", "dumps", "load", "load_assertions", "loads", "parse_assertions"),
+    "fixtures": ("fixture", "fixture_names"),
+    "pi1": (
+        "AbelianInvariants", "FreenessVerdict", "GroupPresentation", "abelianization",
+        "edge_path_presentation", "find_symmetric_quotient", "freeness_verdict",
+        "tietze_simplify", "validate_not_free_certificate",
+    ),
+    "verify": (
+        "CheckReport", "GroupComparison", "LinkSphereCheck", "alexander_duality_check",
+        "complement_homology_check", "local_homology_check", "local_homology_sweep",
+    ),
+}
+_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -146,3 +131,16 @@ __all__ = [
     "validate_not_free_certificate",
     "wedge_covering_type",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return _import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAZY})

@@ -11,20 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from . import facetio, fixtures
-from .bounds import analyze
-from .combinatorial import small_link_certificate
+from . import facetio
 from .errors import ComplexError, HypothesisError
 from .homology import euler_characteristic, homology
-from .pi1 import abelianization, edge_path_presentation, freeness_verdict
-from .verify import (
-    alexander_duality_check,
-    complement_homology_check,
-    local_homology_sweep,
-)
 
 
 def _label(tok: str):
@@ -127,6 +118,9 @@ def _cmd_links(args) -> int:
 
 
 def _cmd_pi1(args) -> int:
+    import random
+
+    from .pi1 import abelianization, edge_path_presentation, freeness_verdict
     K = facetio.load(args.file)
     rng = random.Random(args.seed) if args.seed is not None else None
     P = edge_path_presentation(K, rng=rng)
@@ -157,6 +151,7 @@ def _cmd_pi1(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import analyze
     K = facetio.load(args.file)
     assertions = facetio.load_assertions(args.assert_file) if args.assert_file else None
     reports = analyze(K, assertions=assertions, certify=not args.no_certify)
@@ -179,6 +174,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_check_combinatorial(args) -> int:
+    from .combinatorial import small_link_certificate
     K = facetio.load(args.file)
     cert = small_link_certificate(K)
     if args.json:
@@ -199,11 +195,13 @@ def _cmd_check_combinatorial(args) -> int:
 
 
 def _cmd_verify_duality(args) -> int:
+    from .verify import alexander_duality_check
     K = facetio.load(args.file)
     reports = []
     if args.vertices:
         reports.append(alexander_duality_check(K, _label_list(args.vertices)))
     else:
+        import random
         rng = random.Random(args.seed)
         verts = list(K.vertices)
         if args.partitions < 1:
@@ -230,6 +228,7 @@ def _cmd_verify_duality(args) -> int:
 
 
 def _cmd_verify_complement(args) -> int:
+    from .verify import complement_homology_check
     K = facetio.load(args.file)
     facets = [_label_list(args.facet)] if args.facet else list(K.facets)
     reports = [complement_homology_check(K, f) for f in facets]
@@ -251,6 +250,7 @@ def _cmd_verify_complement(args) -> int:
 
 
 def _cmd_verify_local(args) -> int:
+    from .verify import local_homology_sweep
     K = facetio.load(args.file)
     report = local_homology_sweep(K)
     if args.json:
@@ -266,6 +266,7 @@ def _cmd_verify_local(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
+    from . import fixtures
     if args.name == "list":
         for name in fixtures.fixture_names():
             print(name)

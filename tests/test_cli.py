@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -226,15 +227,104 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
-def test_cli_import_leaves_numpy_out():
+def _fresh_python(*args):
+    """Run a fresh interpreter on the package sources and return the finished process."""
     src = Path(__file__).parent.parent / "src"
-    script = (
-        "import minitri.cli, sys; "
-        "sys.exit(' '.join(m for m in ('numpy', 'concurrent.futures') if m in sys.modules) or None)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
+    return subprocess.run(
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr or "importing minitri.cli loaded a heavy module"
+
+
+# In-process tests run after the session has imported every module, so only
+# a fresh interpreter shows what a subcommand loads and whether its handler
+# imports everything it calls.
+_FILE_COMMANDS = ("info", "homology", "links", "pi1", "bounds", "check-combinatorial",
+                  "verify-complement", "verify-local")
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "c94", "--json"] for command in (*_FILE_COMMANDS, "verify-duality")),
+    *([command, "rp2", "--json"] for command in _FILE_COMMANDS),
+    ["fixture", "list"],
+], ids="-".join)
+def test_fresh_interpreter_matches_in_process(argv, c94_file, rp2_file, capsys):
+    argv = [{"c94": c94_file, "rp2": rp2_file}.get(arg, arg) for arg in argv]
+    code = main(argv)
+    expected = capsys.readouterr().out
+    proc = _fresh_python("-m", "minitri.cli", *argv)
+    assert (proc.returncode, proc.stdout) == (code, expected), proc.stderr
+
+
+def test_cli_import_leaves_numpy_out(rp2_file):
+    script = textwrap.dedent("""
+        import sys
+
+        LAZY = [f"minitri.{m}" for m in ("pi1", "combinatorial", "bounds", "verify", "fixtures")]
+
+        def refuse(step, *names):
+            found = [m for m in names if m in sys.modules]
+            if found:
+                sys.exit(f"{step} loaded {' '.join(found)}")
+
+        import minitri
+        refuse("import minitri", *LAZY)
+        from minitri.cli import main
+        refuse("import minitri.cli", "numpy", "concurrent.futures", *LAZY)
+        for command in ("info", "homology"):
+            main([command, sys.argv[1], "--json"])
+            refuse(command, *LAZY)
+        main(["pi1", sys.argv[1], "--json"])
+        refuse("pi1", "minitri.bounds", "minitri.verify", "minitri.combinatorial")
+        if "minitri.pi1" not in sys.modules:
+            sys.exit("pi1 did not load minitri.pi1")
+    """)
+    proc = _fresh_python("-c", script, rp2_file)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_surface_in_fresh_interpreter():
+    script = textwrap.dedent("""
+        import importlib
+        import sys
+        import types
+
+        # The first import of a submodule binds it onto the package, over
+        # the function that shares the name ``homology``.
+        import minitri.homology, minitri.bounds, minitri.verify
+
+        problems = []
+        if not isinstance(minitri.homology, types.FunctionType):
+            problems.append(f"minitri.homology is {minitri.homology!r}")
+        submodules = {"bounds", "combinatorial", "complexes", "errors", "facetio", "fixtures",
+                      "homology", "pi1", "snf", "verify"}
+        public = {name for name in dir(minitri) if not name.startswith("_")}
+        if public != set(minitri.__all__) | submodules:
+            problems.append(f"dir() differs from __all__ and the submodules: {sorted(public)}")
+        # Submodules first, as resolving a name loads its submodule.
+        unreachable = [name for name in [*sorted(submodules), *sorted(public)]
+                       if not hasattr(minitri, name)]
+        if unreachable:
+            problems.append(f"dir() lists unreachable names {unreachable}")
+        try:
+            minitri.no_such_name
+            problems.append("no AttributeError for an unknown name")
+        except AttributeError:
+            pass
+        from minitri import facetio, fixtures
+        if (facetio, fixtures) != (sys.modules["minitri.facetio"], sys.modules["minitri.fixtures"]):
+            problems.append("from minitri import facetio, fixtures gave no submodules")
+        namespace = {}
+        exec("from minitri import *", namespace)
+        for name in minitri.__all__:
+            value = namespace.get(name)
+            home = importlib.import_module(getattr(value, "__module__", "minitri"))
+            if value is None or value is not getattr(home, name, None):
+                problems.append(f"{name} is not its defining module's object")
+            elif vars(minitri).get(name) is not value:
+                problems.append(f"{name} is not cached in the package")
+        sys.exit("; ".join(problems) or None)
+    """)
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
