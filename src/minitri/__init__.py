@@ -138,8 +138,8 @@ def __getattr__(name):
         return _import_module(f"{__name__}.{name}")
     if name not in _SOURCE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(_import_module(f"{__name__}.{_SOURCE[name]}"), name)
-    return value
+    # Not cached, so the name follows a patch of the submodule and its undoing.
+    return getattr(_import_module(f"{__name__}.{_SOURCE[name]}"), name)
 
 
 def __dir__():

@@ -10,6 +10,7 @@ file; see ``data/cp2_9.facets``.
 from __future__ import annotations
 
 import itertools
+from importlib import resources
 
 from .complexes import SimplicialComplex, from_facets
 from .errors import FixtureError
@@ -94,8 +95,6 @@ def torus_7() -> SimplicialComplex:
 
 def cp2_9() -> SimplicialComplex:
     """The 9-vertex complex projective plane, loaded from the data file."""
-    from importlib import resources
-
     from . import facetio
 
     text = resources.files(__package__).joinpath("data/cp2_9.facets").read_text("utf-8")

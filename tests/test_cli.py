@@ -322,8 +322,16 @@ def test_package_surface_in_fresh_interpreter():
             home = importlib.import_module(getattr(value, "__module__", "minitri"))
             if value is None or value is not getattr(home, name, None):
                 problems.append(f"{name} is not its defining module's object")
-            elif vars(minitri).get(name) is not value:
-                problems.append(f"{name} is not cached in the package")
+        # A lazy name follows its submodule: resolved while a patch of the
+        # submodule is in place, it must not keep the patch once undone.
+        for name in sorted(minitri._SOURCE):
+            home = importlib.import_module(f"minitri.{minitri._SOURCE[name]}")
+            original, patch = getattr(home, name), object()
+            setattr(home, name, patch)
+            patched = getattr(minitri, name)
+            setattr(home, name, original)
+            if (patched, getattr(minitri, name)) != (patch, original):
+                problems.append(f"minitri.{name} does not follow a patch of its submodule")
         sys.exit("; ".join(problems) or None)
     """)
     proc = _fresh_python("-c", script)
