@@ -10,6 +10,7 @@ submodule binds the module over the function; the eager import rebinds it.
 """
 
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .complexes import PseudomanifoldReport, SimplicialComplex, from_facets
 from .errors import (
@@ -62,75 +63,12 @@ _SOURCE = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianInvariants",
-    "BistellarMove",
-    "BistellarResult",
-    "BoundReport",
-    "CheckReport",
-    "CoefficientError",
-    "CombinatorialityCertificate",
-    "ComplexError",
-    "ConnectivityError",
-    "CrossCheckError",
-    "DimensionError",
-    "FacetInputError",
-    "FixtureError",
-    "FreenessVerdict",
-    "GroupComparison",
-    "GroupPresentation",
-    "HomologyProfile",
-    "HypothesisError",
-    "LevelSummary",
-    "LinkSphereCheck",
-    "MissingSimplexError",
-    "NotPseudomanifoldError",
-    "PseudomanifoldReport",
-    "SNFResult",
-    "SimplicialComplex",
-    "VertexSetError",
-    "abelianization",
-    "alexander_duality_check",
-    "analyze",
-    "apply_bistellar_move",
-    "bistellar_moves",
-    "bistellar_sphere_heuristic",
-    "boundary_matrix",
-    "cat_vertex_bound",
-    "certified_sphere",
-    "cohomology",
-    "complement_homology_check",
-    "ct_lower_bound_from_hdim",
-    "dump",
-    "dumps",
-    "edge_path_presentation",
-    "euler_characteristic",
-    "find_symmetric_quotient",
-    "fixture",
-    "fixture_names",
-    "freeness_verdict",
-    "from_facets",
-    "homology",
-    "homology_sphere_verdict",
-    "is_homology_sphere",
-    "load",
-    "load_assertions",
-    "loads",
-    "local_homology_check",
-    "local_homology_sweep",
-    "nonfree_pi1_bound",
-    "parse_assertions",
-    "rank_mod_p",
-    "recognize_2sphere",
-    "recognize_circle",
-    "simply_connected_bound",
-    "small_link_certificate",
-    "smith_normal_form",
-    "sphere_recognition_threshold",
-    "tietze_simplify",
-    "validate_not_free_certificate",
-    "wedge_covering_type",
-]
+# The public names bound above, less the submodules, and the lazy ones.
+__all__ = sorted([
+    *_SOURCE,
+    *(name for name, value in globals().items()
+      if not name.startswith("_") and not isinstance(value, _ModuleType)),
+])
 
 
 def __getattr__(name):

@@ -21,7 +21,7 @@ from typing import Optional
 from .combinatorial import small_link_certificate
 from .complexes import SimplicialComplex
 from .errors import HypothesisError, NotPseudomanifoldError
-from .homology import homology, is_homology_sphere
+from .homology import homology, is_homology_sphere, parse_coeff
 from .pi1 import edge_path_presentation, freeness_verdict
 
 ADAMS_DIMENSIONS = (2, 4, 8, 16)
@@ -177,7 +177,7 @@ def nonfree_pi1_bound(d: int, pi1_status: str = "asserted") -> BoundReport:
 
 
 def homology_sphere_verdict(K: SimplicialComplex, coeff: str = "Z") -> BoundReport:
-    """PL-sphere recognition: homology sphere on at most 3d vertices.
+    """PL-sphere recognition: homology sphere on at most 3d vertices, 3d - 1 over Z_p.
 
     Dimensions 1 and 2 are decided directly (homology spheres there are
     PL-spheres regardless of size).
@@ -186,7 +186,9 @@ def homology_sphere_verdict(K: SimplicialComplex, coeff: str = "Z") -> BoundRepo
     assumes that K triangulates a manifold.  Over Z, n <= 3d then gives
     a sphere: H_1 = 0 makes pi_1 perfect; n <= 3d makes pi_1 free, so
     pi_1 is trivial; and a simply connected homology sphere is a
-    homotopy sphere.
+    homotopy sphere.  Over Z_p that argument fails, as a simply connected
+    Z_p-homology sphere need not be a sphere (the Wu manifold SU(3)/SO(3)
+    is a Z_3-homology 5-sphere), so the budget is the paper's n < 3d.
     """
     if not K.is_closed_pseudomanifold().is_closed_pseudomanifold:
         raise NotPseudomanifoldError("sphere recognition needs a closed pseudomanifold")
@@ -206,7 +208,7 @@ def homology_sphere_verdict(K: SimplicialComplex, coeff: str = "Z") -> BoundRepo
             flags=("low-dimension-direct",),
             details={"vertex_budget": None, "homology_sphere": sphere},
         )
-    budget = 3 * d
+    budget = 3 * d if parse_coeff(coeff)[1] is None else 3 * d - 1
     if not sphere:
         verdict = f"no verdict: not a homology sphere over {coeff}"
     elif n <= budget:

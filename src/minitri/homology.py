@@ -11,9 +11,13 @@ come from its ranks and torsion from the invariant factors of the next
 boundary map.  Over a prime field Z_p nothing is reduced: the profile
 follows from the integral one by universal coefficients,
 H_i(K; Z_p) = H_i(K) (x) Z_p + Tor(H_{i-1}(K), Z_p).  Reduced homology
-augments the chain complex with the empty simplex; the empty complex
-then has a single reduced group Z in dimension -1, which keeps duality
-bookkeeping uniform.
+and cohomology are read off the unreduced profile of the same kind and
+ring, so no augmented map is reduced.  This is exact: augmenting by the
+empty simplex adds only the map C_0 -> Z, which is onto when K is
+nonempty, so it takes one free summand out of H_0 and of H^0, which are
+free, and leaves every other group as it is.  The empty complex has a
+single reduced group Z in dimension -1, which keeps duality bookkeeping
+uniform.
 
 Homology reduces the maps in order, top degree first, and clears: every
 i-face that is a unit pivot row of d_{i+1} is left out as a column of
@@ -32,12 +36,10 @@ not.  Each map is built with the cleared faces already left out.
 Cohomology over Z reduces the transposed maps bottom-up and clears with
 their own unit pivots (de Silva, Morozov and Vejdemo-Johansson,
 arXiv:1107.5665): d_{i-1}^T's pivot rows, which are (i-1)-faces, are
-left out as rows of d_i, which is then transposed.  The augmented
-degree-0 map clears nothing, so only its own reduction depends on
-``reduced``.  Cohomology is then checked against homology via
-universal coefficients; the check is a real one because no reduction
-or pivot is shared between the two sides.  A failed check raises
-CrossCheckError.
+left out as rows of d_i, which is then transposed.  Cohomology is then
+checked against homology via universal coefficients; the check is a
+real one because no reduction or pivot is shared between the two sides.
+A failed check raises CrossCheckError.
 
 ``_reduction`` is the only reduction cache: it memoizes one SNF per
 boundary map and orientation on the complex, so homology, its reduced
@@ -157,16 +159,17 @@ class BoundaryMatrix:
         return (len(self.row_simplices), len(self.col_simplices))
 
 
-def _build_boundary(K: SimplicialComplex, i: int, reduced: bool, cleared=frozenset(), clear_rows=False):
+def _build_boundary(K: SimplicialComplex, i: int, cleared=frozenset(), clear_rows=False):
     """Matrix of the boundary map at chain degree i, over id-level faces.
 
-    Rows and columns are indexed in ``_ifaces`` order.  Faces whose index
-    is in ``cleared`` are left out, as columns (i-faces) or, with
-    ``clear_rows``, as rows ((i-1)-faces); the other faces on that side
-    are renumbered in order, and the opposite side keeps face indices.
+    Rows and columns are indexed in ``_ifaces`` order; at i = 0 the one
+    row is the empty simplex.  Faces whose index is in ``cleared`` are
+    left out, as columns (i-faces) or, with ``clear_rows``, as rows
+    ((i-1)-faces); the other faces on that side are renumbered in order,
+    and the opposite side keeps face indices.
     """
     cols = K._ifaces(i)
-    faces = K._ifaces(i - 1) if i else [()] if reduced else []
+    faces = K._ifaces(i - 1)
     dropped_rows, dropped_cols = (cleared, ()) if clear_rows else ((), cleared)
     index = {}
     for r, s in enumerate(faces):
@@ -189,42 +192,34 @@ def boundary_matrix(K: SimplicialComplex, i: int, reduced: bool = False) -> Boun
     """Public boundary matrix with label-level face indexing."""
     if not 0 <= i <= max(K.dimension, 0):
         raise DimensionError(f"no boundary map at degree {i} for a {K.dimension}-complex")
-    M = _build_boundary(K, i, reduced)
-    if i == 0:
-        rows = ((),) if reduced else ()
-    else:
-        rows = K.faces(i - 1)
-    return BoundaryMatrix(i, reduced, rows, K.faces(i), M)
+    cols = K.faces(i)
+    if i == 0 and not reduced:
+        return BoundaryMatrix(0, False, (), cols, SparseMatrix((0, len(cols)), {}))
+    return BoundaryMatrix(i, reduced, K.faces(i - 1), cols, _build_boundary(K, i))
 
 
-def _reduction(K: SimplicialComplex, i: int, reduced: bool, transposed=False):
-    """Smith normal form of the degree-i boundary map (or its transpose), memoized.
-
-    Only the degree-0 map depends on ``reduced``, so the key drops it
-    elsewhere.
-    """
-    reduced = reduced and i == 0
-    key = ("reduction", i, reduced, transposed)
-    return K._memo(key, _reduce, K, i, reduced, transposed)
+def _reduction(K: SimplicialComplex, i: int, transposed=False):
+    """Smith normal form of the degree-i boundary map (or its transpose), memoized."""
+    return K._memo(("reduction", i, transposed), _reduce, K, i, transposed)
 
 
-def _reduce(K, i, reduced, transposed):
+def _reduce(K, i, transposed):
     # Clearing: the unit pivot rows of the neighbouring map, reduced first,
     # index columns that the remaining columns already generate: columns
     # of d_i for homology, rows of d_i (columns of d_i^T) for cohomology.
     if transposed:
-        cleared = _reduction(K, i - 1, False, True).pivot_rows if i >= 2 else frozenset()
+        cleared = _reduction(K, i - 1, True).pivot_rows if i >= 2 else frozenset()
     else:
-        cleared = _reduction(K, i + 1, False).pivot_rows if i < K.dimension else frozenset()
-    M = _build_boundary(K, i, reduced, cleared, clear_rows=transposed)
+        cleared = _reduction(K, i + 1).pivot_rows if i < K.dimension else frozenset()
+    M = _build_boundary(K, i, cleared, clear_rows=transposed)
     return smith_normal_form(M.transpose() if transposed else M)
 
 
-def _rank(K, i, reduced, transposed):
-    # Rank of the degree-i boundary map; zero outside the chain complex.
-    if i < 0 or i > K.dimension or (i == 0 and not reduced):
+def _rank(K, i, transposed):
+    # Rank of the degree-i boundary map; zero for d_0 and outside the complex.
+    if i < 1 or i > K.dimension:
         return 0
-    return _reduction(K, i, reduced, transposed).rank
+    return _reduction(K, i, transposed).rank
 
 
 def homology(K: SimplicialComplex, coeff="Z", reduced: bool = False) -> HomologyProfile:
@@ -247,29 +242,34 @@ def cohomology(K: SimplicialComplex, coeff="Z", reduced: bool = False) -> Homolo
 
 def _profile(K, label, p, reduced, kind):
     dim = K.dimension
-    degrees = range(-1 if reduced else 0, dim + 1)
     transposed = kind == "cohomology"
     groups = []
-    if p is not None:
+    if reduced:
+        # Augmenting by the empty simplex takes one free Z out of degree 0,
+        # or gives the empty complex its lone group Z in degree -1.
+        full = (cohomology if transposed else homology)(K, label)
+        groups = [(i, betti - 1 if i == 0 else betti, torsion) for i, betti, torsion in full.groups]
+        groups = groups or [(-1, 1, ())]
+    elif p is not None:
         # Universal coefficients: a factor Z/t with p | t in degree j adds one
         # to the Z_p Betti numbers in degrees j and j+1 (homology) or j-1.
-        Z = (cohomology if transposed else homology)(K, "Z", reduced)
+        Z = (cohomology if transposed else homology)(K, "Z")
         step = 1 if transposed else -1
-        for i in degrees:
+        for i in range(dim + 1):
             torsion = Z.torsion(i) + Z.torsion(i + step)
             groups.append((i, Z.betti(i) + sum(1 for t in torsion if t % p == 0), ()))
     else:
-        for i in degrees:
+        for i in range(dim + 1):
             f_i = len(K._ifaces(i))
-            betti = f_i - _rank(K, i, reduced, transposed) - _rank(K, i + 1, reduced, transposed)
+            betti = f_i - _rank(K, i, transposed) - _rank(K, i + 1, transposed)
             # torsion is that of the map into degree i: d_{i+1}, or d_i transposed
             t = i if transposed else i + 1
-            torsion = _reduction(K, t, reduced, transposed).torsion_factors if 1 <= t <= dim else ()
+            torsion = _reduction(K, t, transposed).torsion_factors if 1 <= t <= dim else ()
             groups.append((i, betti, torsion))
     profile = HomologyProfile(label, reduced, kind, dim, tuple(g for g in groups if g[1] or g[2]))
-    if kind == "cohomology":
-        hom = homology(K, label, reduced)
-        for i in degrees:
+    if transposed and not reduced:
+        hom = homology(K, label)
+        for i in range(dim + 1):
             cb, ct = profile.group(i)
             hb, _ = hom.group(i)
             if cb != hb:

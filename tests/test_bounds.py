@@ -132,6 +132,17 @@ def test_homology_sphere_verdicts():
     assert r.verdict.startswith("no verdict")
 
 
+def test_field_sphere_budget_is_below_3d():
+    # The paper proves the Z_p verdict for n < 3d only; C(9,4) has n = 3d.
+    K = fixtures.cyclic_polytope(9, 4)
+    r = homology_sphere_verdict(K, "Z3")
+    assert (r.bound, r.details["vertex_budget"], r.details["homology_sphere"]) == (8, 8, True)
+    assert r.verdict == "no verdict: 9 vertices exceed the budget 8"
+    r = homology_sphere_verdict(K, "Z")
+    assert (r.verdict, r.bound) == ("PL-sphere", 9)
+    assert homology_sphere_verdict(fixtures.cyclic_polytope(8, 4), "Z3").verdict == "PL-sphere"
+
+
 def test_analyze_c94_contrapositive():
     reports = analyze(fixtures.cyclic_polytope(9, 4))
     rules = {r.rule: r for r in reports}

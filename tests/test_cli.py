@@ -286,7 +286,9 @@ def test_cli_import_leaves_numpy_out(rp2_file):
 
 def test_package_surface_in_fresh_interpreter():
     script = textwrap.dedent("""
+        import ast
         import importlib
+        import pathlib
         import sys
         import types
 
@@ -297,6 +299,15 @@ def test_package_surface_in_fresh_interpreter():
         problems = []
         if not isinstance(minitri.homology, types.FunctionType):
             problems.append(f"minitri.homology is {minitri.homology!r}")
+        if minitri.__all__ != sorted(set(minitri.__all__)):
+            problems.append("__all__ is unsorted or has duplicates")
+        tree = ast.parse(pathlib.Path(minitri.__file__).read_text())
+        eager = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+                 for alias in node.names}
+        lazy = {name for names in minitri._LAZY.values() for name in names}
+        missing = sorted((eager | lazy) - set(minitri.__all__))
+        if not eager or missing:
+            problems.append(f"__all__ lacks {missing}; eager imports found: {sorted(eager)}")
         submodules = {"bounds", "combinatorial", "complexes", "errors", "facetio", "fixtures",
                       "homology", "pi1", "snf", "verify"}
         public = {name for name in dir(minitri) if not name.startswith("_")}

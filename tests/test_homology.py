@@ -151,10 +151,9 @@ def test_wide_cross_polytope_is_sphere(d):
 def test_reductions_memoized_once_per_map(monkeypatch):
     # Homology reduces top-down: each map loses the columns that are unit
     # pivot rows of the map above it, so d_i is reduced as f_{i-1} x
-    # (f_i - r_{i+1}).  Reduced homology adds only the augmented degree-0
-    # map.  Cohomology reduces its transposed maps bottom-up with its own
-    # pivots, so d_i^T is reduced as f_i x (f_{i-1} - r_{i-1}), except for
-    # the augmented degree-0 map, which clears nothing.
+    # (f_i - r_{i+1}).  Cohomology reduces its transposed maps bottom-up
+    # with its own pivots, so d_i^T is reduced as f_i x (f_{i-1} - r_{i-1}).
+    # Reduced profiles are read off the unreduced ones: no augmented map.
     shapes = []
     real = homology_module.smith_normal_form
 
@@ -169,17 +168,16 @@ def test_reductions_memoized_once_per_map(monkeypatch):
     r = {4: 0, 3: f[3] - 1}
     for i in (2, 1):
         r[i] = f[i] - r[i + 1]
-    r[0] = f[0] - r[1]
-    assert r[0] == 1
+    assert f[0] - r[1] == 1
     homology(K)
     assert shapes == [(f[i - 1], f[i] - r[i + 1]) for i in (3, 2, 1)]
-    homology(K, reduced=True)
-    homology(K, "Z2", reduced=True)
-    assert shapes[3:] == [(1, f[0] - r[1])]
+    assert homology(K, reduced=True).is_sphere(3)
+    assert homology(K, "Z2", reduced=True).is_sphere(3)
+    assert shapes[3:] == []
     del shapes[:]
     cohomology(K)
-    cohomology(K, reduced=True)
-    assert shapes == [(f[1], f[0]), (f[2], f[1] - r[1]), (f[3], f[2] - r[2]), (f[0], 1)]
+    assert cohomology(K, reduced=True).is_sphere(3)
+    assert shapes == [(f[1], f[0]), (f[2], f[1] - r[1]), (f[3], f[2] - r[2])]
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,23 +187,22 @@ def test_reductions_memoized_once_per_map(monkeypatch):
         min_size=1,
         max_size=10,
     ),
-    st.booleans(),
 )
-def test_pruning_by_neighbour_pivots_keeps_invariant_factors(facets, reduced):
+def test_pruning_by_neighbour_pivots_keeps_invariant_factors(facets):
     # Columns that are unit pivot rows of the neighbouring map are integer
     # combinations of the other columns, so dropping them changes nothing.
     K = from_facets(facets)
-    for i in range(0 if reduced else 1, K.dimension + 1):
-        full = boundary_matrix(K, i, reduced).matrix
+    for i in range(1, K.dimension + 1):
+        full = boundary_matrix(K, i).matrix
         if i < K.dimension:
             above = smith_normal_form(boundary_matrix(K, i + 1).matrix)
-            pruned = homology_module._build_boundary(K, i, reduced, above.pivot_rows)
+            pruned = homology_module._build_boundary(K, i, above.pivot_rows)
             assert pruned.shape[1] == full.shape[1] - len(above.pivot_rows)
             got = smith_normal_form(pruned).invariant_factors
             assert got == smith_normal_form(full).invariant_factors, (facets, i)
         if i >= 2:
             below = smith_normal_form(boundary_matrix(K, i - 1).matrix.transpose())
-            pruned = homology_module._build_boundary(K, i, reduced, below.pivot_rows, clear_rows=True)
+            pruned = homology_module._build_boundary(K, i, below.pivot_rows, clear_rows=True)
             assert pruned.shape[0] == full.shape[0] - len(below.pivot_rows)
             got = smith_normal_form(pruned.transpose()).invariant_factors
             assert got == smith_normal_form(full.transpose()).invariant_factors, (facets, i)
@@ -243,8 +240,8 @@ def _drop_one_rank(monkeypatch):
     """Make the degree-1 coboundary SNF report one invariant factor too few."""
     real = homology_module._reduction
 
-    def broken(K, i, reduced, transposed=False):
-        res = real(K, i, reduced, transposed)
+    def broken(K, i, transposed=False):
+        res = real(K, i, transposed)
         if transposed and i == 1:
             return dataclasses.replace(res, invariant_factors=res.invariant_factors[1:])
         return res
@@ -256,6 +253,10 @@ def test_cohomology_cross_check_raises(monkeypatch, tmp_path):
     _drop_one_rank(monkeypatch)
     with pytest.raises(CrossCheckError, match="universal coefficients"):
         cohomology(fixtures.torus_7())
+    # reduced profiles are read only off an unreduced profile that passed
+    for coeff in ("Z", "Z2"):
+        with pytest.raises(CrossCheckError, match="universal coefficients"):
+            cohomology(fixtures.torus_7(), coeff, reduced=True)
     # the duality check reads cohomology; the CLI turns the failure into exit 2
     path = tmp_path / "c94.facets"
     facetio.dump(fixtures.cyclic_polytope(9, 4), path)
