@@ -1,9 +1,13 @@
 """Combinatoriality certificates plus low-dimension sphere recognizers.
 
-The certificate sweeps the proper links by dimension, building each link
-once.  Circles and 2-spheres are read off the memoized closed-pseudomanifold
-report and the Euler characteristic; higher links must be integer homology
-spheres and must fit a 3k vertex budget, k the link dimension.  For d >= 3
+The certificate sweeps the proper links by dimension.  Each level reads
+every link's facets from one pass over the facets of the complex
+(``SimplicialComplex._links``), as tuples of the complex's vertex ids.
+Vertex counts, circles and 2-spheres are read off those tuples: the
+closed-pseudomanifold flags plus, for 2-spheres, the Euler
+characteristic.  Only a higher link becomes a complex of its own, for
+its homology: it must be an integer homology sphere and must fit a 3k
+vertex budget, k the link dimension.  For d >= 3
 the budget also holds the complex itself (the link of the empty simplex)
 to 3d vertices, so a CERTIFIED complex that is also a homology sphere is
 a PL-sphere outright, which is what ``alexander_duality_check`` relies on.
@@ -16,11 +20,12 @@ manifold triangulation (REJECTED).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import SimplicialComplex, _memoized, from_facets
+from .complexes import SimplicialComplex, _compact, _memoized, _pseudomanifold, from_facets
 from .errors import DimensionError, HypothesisError, NotPseudomanifoldError
 from .homology import homology
 
@@ -33,7 +38,7 @@ def recognize_circle(K: SimplicialComplex) -> bool:
     """
     if K.dimension != 1:
         raise DimensionError(f"circle recognition needs dimension 1, got {K.dimension}")
-    return K.is_closed_pseudomanifold().is_closed_pseudomanifold
+    return _is_low_sphere(K._id_facets, 1)
 
 
 def recognize_2sphere(K: SimplicialComplex) -> bool:
@@ -48,10 +53,22 @@ def recognize_2sphere(K: SimplicialComplex) -> bool:
     """
     if K.dimension != 2:
         raise DimensionError(f"2-sphere recognition needs dimension 2, got {K.dimension}")
-    if not K.is_closed_pseudomanifold().is_closed_pseudomanifold:
+    return _is_low_sphere(K._id_facets, 2)
+
+
+def _is_low_sphere(facets, k):
+    """Circle (k = 1) or 2-sphere (k = 2) test on the facets of a k-complex.
+
+    ``facets`` are sorted vertex-id tuples of dimension k; the ids need
+    not be dense.
+    """
+    if not _pseudomanifold(facets, k).is_closed_pseudomanifold:
         return False
-    f0, f1, f2 = K.f_vector()
-    return f0 - f1 + f2 == 2
+    if k == 1:
+        return True
+    vertices = {v for f in facets for v in f}
+    edges = {e for f in facets for e in itertools.combinations(f, 2)}
+    return len(vertices) - len(edges) + len(facets) == 2
 
 
 @dataclass(frozen=True)
@@ -99,16 +116,21 @@ class CombinatorialityCertificate:
 
 
 def _level_test(k):
-    """(method, sphere name, sphere test) for the level of k-dimensional links."""
+    """(method, sphere name) for the level of k-dimensional links."""
     if k == 1:
-        return "circle recognizer", "circle", recognize_circle
+        return "circle recognizer", "circle"
     if k == 2:
-        return "2-sphere recognizer", "2-sphere", recognize_2sphere
-    return (
-        "homology k-sphere + 3k vertex budget",
-        f"homology {k}-sphere",
-        lambda L: homology(L, reduced=True).is_sphere(k),
-    )
+        return "2-sphere recognizer", "2-sphere"
+    return "homology k-sphere + 3k vertex budget", f"homology {k}-sphere"
+
+
+def _link_is_sphere(K, link, k):
+    """Is the link with facets ``link`` (K-id tuples) a k-sphere, by the level's test?"""
+    if max(map(len, link)) != k + 1:
+        return False
+    if k <= 2:
+        return _is_low_sphere(link, k)
+    return homology(_compact(K.labels, link), reduced=True).is_sphere(k)
 
 
 def small_link_certificate(K: SimplicialComplex) -> CombinatorialityCertificate:
@@ -127,18 +149,19 @@ def small_link_certificate(K: SimplicialComplex) -> CombinatorialityCertificate:
     d = K.dimension
     levels, rejections, size_hits = [], [], []
     for k in range(1, d):
-        method, sphere, is_sphere = _level_test(k)
+        method, sphere = _level_test(k)
         allowed = 3 * k if k >= 3 else None
-        simplices = K.faces(d - k - 1)
+        simplices = K._ifaces(d - k - 1)
+        links = K._links(d - k - 1)
         rejected, oversized, max_seen = len(rejections), len(size_hits), 0
         for s in simplices:
-            lk = K.link(s)
-            nv = lk.n_vertices
+            link = links[s]
+            nv = len({v for f in link for v in f})
             max_seen = max(max_seen, nv)
             if allowed is not None and nv > allowed:
-                size_hits.append((s, f"link has {nv} vertices, budget {allowed}"))
-            if lk.dimension != k or not is_sphere(lk):
-                rejections.append((s, f"link is not a {sphere}"))
+                size_hits.append((K._to_labels(s), f"link has {nv} vertices, budget {allowed}"))
+            if not _link_is_sphere(K, link, k):
+                rejections.append((K._to_labels(s), f"link is not a {sphere}"))
         levels.append(
             LevelSummary(
                 sphere_dim=k,
@@ -228,12 +251,21 @@ class BistellarResult:
         }
 
 
+def _simplex_boundary_vertices(facets):
+    """Sorted vertex ids of the simplex whose boundary ``facets`` are, else None.
+
+    Boundary of the simplex on the vertex set: n distinct (n-1)-sets of n
+    vertices are all of them.
+    """
+    w = sorted({v for f in facets for v in f})
+    n = len(w)
+    if len(facets) == n and all(len(f) == n - 1 for f in facets):
+        return tuple(w)
+    return None
+
+
 def _is_simplex_boundary(L: SimplicialComplex) -> bool:
-    # Boundary of the simplex on its vertex set: n distinct (n-1)-sets of
-    # n vertices are all of them.
-    n = L.n_vertices
-    facets = L.facets
-    return len(facets) == n and all(len(f) == n - 1 for f in facets)
+    return _simplex_boundary_vertices(L._id_facets) is not None
 
 
 def _flip_cofacet(K: SimplicialComplex, face):
@@ -253,14 +285,19 @@ def bistellar_moves(K: SimplicialComplex):
     """All legal flips: faces whose link is the boundary of a missing simplex.
 
     Moves that would introduce a fresh vertex label are not generated;
-    the search only ever shrinks or reshuffles the vertex set.
+    the search only ever shrinks or reshuffles the vertex set.  Faces are
+    taken by dimension, in ``faces`` order, each dimension's links read
+    from one ``_links`` pass.
     """
     out = []
     for fdim in range(K.dimension):
-        for s in K.faces(fdim):
-            w = _flip_cofacet(K, s)
+        links = K._links(fdim)
+        for s in K._ifaces(fdim):
+            w = _simplex_boundary_vertices(links[s])
             if w is not None:
-                out.append(BistellarMove(face=s, cofacet=w))
+                cofacet = K._to_labels(w)
+                if not K.has_simplex(cofacet):
+                    out.append(BistellarMove(face=K._to_labels(s), cofacet=cofacet))
     return out
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import (
@@ -104,6 +105,48 @@ class PseudomanifoldReport:
             "strongly_connected": self.strongly_connected,
             "is_closed_pseudomanifold": self.is_closed_pseudomanifold,
         }
+
+
+def _pseudomanifold(id_facets, d):
+    """Closed-pseudomanifold report of the facets ``id_facets`` of a d-complex, d >= 1.
+
+    A (d-1)-face that lies in no top facet is itself a facet with d
+    vertices, so ridge degree 2 means: no such facet, and every ridge of
+    a top facet lies in exactly two top facets.
+    """
+    top = [f for f in id_facets if len(f) == d + 1]
+    ridge_to_facets = {}
+    for idx, f in enumerate(top):
+        for ridge in itertools.combinations(f, d):
+            ridge_to_facets.setdefault(ridge, []).append(idx)
+    ridge_ok = all(len(v) == 2 for v in ridge_to_facets.values()) and not any(
+        len(f) == d for f in id_facets
+    )
+
+    # Strong connectivity: walk the ridge-adjacency graph of top facets.
+    strongly_connected = False
+    if top:
+        adj = {i: set() for i in range(len(top))}
+        for members in ridge_to_facets.values():
+            for a, b in itertools.combinations(members, 2):
+                adj[a].add(b)
+                adj[b].add(a)
+        seen = {0}
+        stack = [0]
+        while stack:
+            cur = stack.pop()
+            for nxt in adj[cur]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        strongly_connected = len(seen) == len(top)
+
+    return PseudomanifoldReport(
+        dimension=d,
+        pure=len(top) == len(id_facets),
+        ridge_degree_two=ridge_ok,
+        strongly_connected=strongly_connected,
+    )
 
 
 class SimplicialComplex:
@@ -215,6 +258,25 @@ class SimplicialComplex:
     def _facets_containing(self, sids):
         fs = frozenset(sids)
         return [f for f, s in zip(self._id_facets, self._facet_sets) if fs <= s]
+
+    def _links(self, i):
+        """Every i-face mapped to its link's facets, as id tuples F - sigma.
+
+        One pass over the facets, nothing memoized.  Each list is sorted
+        and an antichain, as the facets are: removing sigma from the
+        facets containing it keeps their order, so ``_compact`` of it is
+        ``link(sigma)``.  For a sorted F the (i+1)-subsets in lex order
+        pair with their complements in reverse lex order.
+        """
+        links = defaultdict(list)
+        for f in self._id_facets:
+            n = len(f)
+            if n > i:
+                rests = list(itertools.combinations(f, n - i - 1))
+                rests.reverse()
+                for s, rest in zip(itertools.combinations(f, i + 1), rests):
+                    links[s].append(rest)
+        return links
 
     def link(self, simplex):
         """The link of a face: all tau with tau ∩ sigma = ∅, tau ∪ sigma ∈ K.
@@ -328,44 +390,9 @@ class SimplicialComplex:
         Results are reported, not raised: callers that require a closed
         pseudomanifold inspect the report.  Requires dimension >= 1.
         """
-        d = self.dimension
-        if d < 1:
+        if self.dimension < 1:
             raise DimensionError("pseudomanifold check needs a complex of dimension >= 1")
-        top = [f for f in self._id_facets if len(f) == d + 1]
-        pure = len(top) == len(self._id_facets)
-
-        # Count, for every (d-1)-face of the complex, the top facets above
-        # it; a ridge inside no top facet (pendant lower facet) counts 0.
-        ridge_to_facets = {r: [] for r in self._ifaces(d - 1)}
-        for idx, f in enumerate(top):
-            for ridge in itertools.combinations(f, d):
-                ridge_to_facets[ridge].append(idx)
-        ridge_ok = all(len(v) == 2 for v in ridge_to_facets.values())
-
-        # Strong connectivity: walk the ridge-adjacency graph of top facets.
-        strongly_connected = False
-        if top:
-            adj = {i: set() for i in range(len(top))}
-            for members in ridge_to_facets.values():
-                for a, b in itertools.combinations(members, 2):
-                    adj[a].add(b)
-                    adj[b].add(a)
-            seen = {0}
-            stack = [0]
-            while stack:
-                cur = stack.pop()
-                for nxt in adj[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            strongly_connected = len(seen) == len(top)
-
-        return PseudomanifoldReport(
-            dimension=d,
-            pure=pure,
-            ridge_degree_two=ridge_ok,
-            strongly_connected=strongly_connected,
-        )
+        return _pseudomanifold(self._id_facets, self.dimension)
 
     @_memoized
     def is_orientable(self) -> bool:

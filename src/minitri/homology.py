@@ -192,10 +192,13 @@ def boundary_matrix(K: SimplicialComplex, i: int, reduced: bool = False) -> Boun
     """Public boundary matrix with label-level face indexing."""
     if not 0 <= i <= max(K.dimension, 0):
         raise DimensionError(f"no boundary map at degree {i} for a {K.dimension}-complex")
-    cols = K.faces(i)
+    # Indexed through _ifaces, which also serves the empty complex's
+    # degree 0: its augmented map has the empty simplex as its one row.
+    cols = tuple(K._to_labels(f) for f in K._ifaces(i))
     if i == 0 and not reduced:
         return BoundaryMatrix(0, False, (), cols, SparseMatrix((0, len(cols)), {}))
-    return BoundaryMatrix(i, reduced, K.faces(i - 1), cols, _build_boundary(K, i))
+    rows = tuple(K._to_labels(f) for f in K._ifaces(i - 1))
+    return BoundaryMatrix(i, reduced, rows, cols, _build_boundary(K, i))
 
 
 def _reduction(K: SimplicialComplex, i: int, transposed=False):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .combinatorial import certified_sphere
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _compact
 from .errors import HypothesisError, MissingSimplexError, NotPseudomanifoldError
 from .homology import cohomology, homology
 
@@ -211,13 +211,10 @@ def alexander_duality_check(S: SimplicialComplex, V) -> CheckReport:
     return CheckReport("alexander-duality", passed, tuple(entries), notes)
 
 
-def _link_sphere_check(K: SimplicialComplex, simplex) -> LinkSphereCheck:
-    canonical = K._to_labels(K._simplex_ids(simplex))
-    lk = K.link(canonical)
-    k = K.dimension - len(canonical)
+def _link_sphere_check(simplex, lk: SimplicialComplex, k) -> LinkSphereCheck:
     prof = homology(lk, reduced=True)
     return LinkSphereCheck(
-        simplex=canonical,
+        simplex=simplex,
         sphere_dim=k,
         observed=_groups_text(prof),
         passed=prof.is_sphere(k),
@@ -234,15 +231,27 @@ def local_homology_check(K: SimplicialComplex, simplex) -> LinkSphereCheck:
         raise NotPseudomanifoldError("local homology needs a closed pseudomanifold")
     if not K.has_simplex(tuple(simplex)):
         raise MissingSimplexError(f"{tuple(simplex)!r} is not a simplex of the complex")
-    return _link_sphere_check(K, simplex)
+    canonical = K._to_labels(K._simplex_ids(simplex))
+    return _link_sphere_check(canonical, K.link(canonical), K.dimension - len(canonical))
 
 
 def local_homology_sweep(K: SimplicialComplex) -> CheckReport:
-    """Run the link check at every simplex of the complex."""
+    """Run the link check at every simplex of the complex.
+
+    Simplices come in ``all_simplices`` order; each dimension's links are
+    read from one ``_links`` pass over the facets.
+    """
     if not K.is_closed_pseudomanifold().is_closed_pseudomanifold:
         raise NotPseudomanifoldError("local homology needs a closed pseudomanifold")
-    entries = tuple(_link_sphere_check(K, s) for s in K.all_simplices())
+    d = K.dimension
+    entries = []
+    for i in range(d + 1):
+        links = K._links(i)
+        entries.extend(
+            _link_sphere_check(K._to_labels(s), _compact(K.labels, links[s]), d - i - 1)
+            for s in K._ifaces(i)
+        )
     passed = all(e.passed for e in entries)
     failures = sum(1 for e in entries if not e.passed)
     notes = (f"{len(entries)} simplices checked, {failures} failures",)
-    return CheckReport("local-homology", passed, entries, notes)
+    return CheckReport("local-homology", passed, tuple(entries), notes)

@@ -6,8 +6,10 @@ determinantal-divisor ratios for small matrices, a bare-hands
 fraction-free determinant, dense Gaussian elimination over F_p for
 mod-p ranks, homology profiles from one Smith form per whole boundary
 map (no clearing, Z_p Betti numbers from ranks mod p rather than by
-universal coefficients), Tietze simplification that recounts
-every generator over every relator for each candidate move, a
+universal coefficients), closed-pseudomanifold reports that count
+top facets over every ridge of the face index, Tietze simplification
+that recounts every generator over every relator for each candidate
+move, a
 quotient search that tries every permutation for every generator and
 checks relators in the order given, and a small-link certificate that
 recognizes 2-spheres by rebuilding and testing every vertex link.  If these
@@ -20,7 +22,7 @@ from itertools import combinations, permutations
 from math import gcd
 
 from minitri.combinatorial import CombinatorialityCertificate, LevelSummary
-from minitri.complexes import from_facets
+from minitri.complexes import PseudomanifoldReport, from_facets
 from minitri.errors import DimensionError, NotPseudomanifoldError
 from minitri.homology import boundary_matrix, homology
 from minitri.snf import smith_normal_form
@@ -312,6 +314,46 @@ def quotient_search_naive(P, max_degree, node_budget):
         if nodes > node_budget:
             return None, True
     return None, False
+
+
+def pseudomanifold_report_naive(K):
+    """Purity, ridge degree 2 and strong connectivity, ridges from the face index.
+
+    Every (d-1)-face of K gets a count of the top facets above it, so a
+    ridge inside no top facet counts 0.
+    """
+    d = K.dimension
+    if d < 1:
+        raise DimensionError("pseudomanifold check needs a complex of dimension >= 1")
+    top = [f for f in K._id_facets if len(f) == d + 1]
+    pure = len(top) == len(K._id_facets)
+    ridge_to_facets = {r: [] for r in K._ifaces(d - 1)}
+    for idx, f in enumerate(top):
+        for ridge in combinations(f, d):
+            ridge_to_facets[ridge].append(idx)
+    ridge_ok = all(len(v) == 2 for v in ridge_to_facets.values())
+    strongly_connected = False
+    if top:
+        adj = {i: set() for i in range(len(top))}
+        for members in ridge_to_facets.values():
+            for a, b in combinations(members, 2):
+                adj[a].add(b)
+                adj[b].add(a)
+        seen = {0}
+        stack = [0]
+        while stack:
+            cur = stack.pop()
+            for nxt in adj[cur]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        strongly_connected = len(seen) == len(top)
+    return PseudomanifoldReport(
+        dimension=d,
+        pure=pure,
+        ridge_degree_two=ridge_ok,
+        strongly_connected=strongly_connected,
+    )
 
 
 def recognize_circle_naive(K):

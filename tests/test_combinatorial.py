@@ -16,12 +16,13 @@ from minitri.combinatorial import (
     recognize_circle,
     small_link_certificate,
 )
-from minitri.complexes import SimplicialComplex, from_facets
+from minitri.complexes import SimplicialComplex, _compact, from_facets
 from minitri.errors import DimensionError, HypothesisError, NotPseudomanifoldError
 from minitri.homology import homology
 from minitri.pi1 import edge_path_presentation, freeness_verdict, validate_not_free_certificate
 
 from oracles import (
+    random_complex,
     recognize_2sphere_naive,
     recognize_circle_naive,
     small_link_certificate_naive,
@@ -399,7 +400,40 @@ def test_certificate_matches_naive():
     assert verdicts == {"CERTIFIED", "INCONCLUSIVE", "REJECTED"}
 
 
-def test_certificate_builds_each_link_once(monkeypatch):
+def _relabelled(K, rng):
+    """K under fresh string labels, with facet and vertex order shuffled."""
+    names = dict(zip(K.vertices, rng.sample(range(10 * K.n_vertices), K.n_vertices)))
+    facets = [[f"v{names[v]}" for v in f] for f in K.facets]
+    for f in facets:
+        rng.shuffle(f)
+    rng.shuffle(facets)
+    return from_facets(facets)
+
+
+def test_certificate_reads_links_from_one_facet_sweep(monkeypatch):
+    rng = random.Random(17)
+    bases = (
+        fixtures.cp2_9(),
+        fixtures.cyclic_polytope(10, 5),
+        fixtures.cross_polytope(4),
+        fixtures.cyclic_polytope(9, 4),
+        fixtures.cross_polytope(3),
+        fixtures.torus_7(),
+        fixtures.rp2_6(),
+        suspension(fixtures.rp2_6(), 90, 91),
+    )
+    corpus = [_relabelled(_flipped(_stellar_subdivision(B, rng), rng, 3), rng) for B in bases]
+    sphere = fixtures.boundary_simplex(3)
+    non_pure = [random_complex(rng) for _ in range(60)]
+    non_pure += [from_facets(list(sphere.facets) + [extra]) for extra in ((1, 2, 9), (1, 9))]
+    for K in [*bases, *corpus, *non_pure, sphere.full_subcomplex(())]:
+        for i in range(-1, K.dimension + 1):
+            links = K._links(i)
+            assert sorted(links) == list(K._ifaces(i))
+            for s in K._ifaces(i):
+                got, want = _compact(K.labels, links[s]), K.link(K._to_labels(s))
+                assert (got.labels, got._id_facets) == (want.labels, want._id_facets)
+
     calls = []
     link = SimplicialComplex.link
 
@@ -408,8 +442,6 @@ def test_certificate_builds_each_link_once(monkeypatch):
         return link(self, simplex)
 
     monkeypatch.setattr(SimplicialComplex, "link", counting_link)
-    K = fixtures.cp2_9()
-    cert = small_link_certificate(K)
-    proper = [lv for lv in cert.levels if lv.sphere_dim < K.dimension]
-    assert len(calls) == sum(lv.simplices_checked for lv in proper)
-    assert sorted(calls) == sorted(s for i in range(K.dimension - 1) for s in K.faces(i))
+    for K in [*bases, *corpus]:
+        small_link_certificate(K)
+    assert calls == []

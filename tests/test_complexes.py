@@ -14,7 +14,7 @@ from minitri.errors import (
 )
 from minitri import facetio, fixtures
 
-from oracles import random_complex
+from oracles import pseudomanifold_report_naive, random_complex
 
 
 def test_facets_form_an_antichain():
@@ -221,6 +221,23 @@ def test_pseudomanifold_fixtures():
     rep = broken.is_closed_pseudomanifold()
     assert not rep.is_closed_pseudomanifold
     assert not rep.ridge_degree_two
+
+
+def test_pseudomanifold_report_matches_naive():
+    rng = random.Random(23)
+    sphere = fixtures.boundary_simplex(3)
+    pendant_ridge = from_facets(list(sphere.facets) + [(1, 2, 9)])
+    pendant_edge = from_facets(list(sphere.facets) + [(1, 9)])
+    assert not pendant_ridge.is_closed_pseudomanifold().ridge_degree_two
+    assert pendant_edge.is_closed_pseudomanifold().ridge_degree_two
+    inputs = [sphere, pendant_ridge, pendant_edge, fixtures.rp2_6(), fixtures.cp2_9()]
+    inputs += [random_complex(rng) for _ in range(300)]
+    checked = 0
+    for K in inputs:
+        if K.dimension >= 1:
+            assert K.is_closed_pseudomanifold() == pseudomanifold_report_naive(K), K.facets
+            checked += 1
+    assert checked > 200
 
 
 def test_orientability():

@@ -16,7 +16,7 @@ from minitri import facetio, fixtures
 from minitri.bounds import homology_sphere_verdict
 from minitri.cli import main
 from minitri.complexes import from_facets
-from minitri.errors import CoefficientError, CrossCheckError
+from minitri.errors import CoefficientError, CrossCheckError, DimensionError
 from minitri.homology import (
     boundary_matrix,
     cohomology,
@@ -104,6 +104,16 @@ def test_empty_complex_reduced_homology():
     E = fixtures.rp2_6().full_subcomplex(())
     prof = homology(E, reduced=True)
     assert prof.group(-1) == (1, ())
+
+
+def test_empty_complex_boundary_matrix_at_degree_zero():
+    E = fixtures.rp2_6().full_subcomplex(())
+    augmented = boundary_matrix(E, 0, reduced=True)
+    assert augmented.shape == augmented.matrix.shape == (1, 0)
+    assert augmented.row_simplices == ((),)
+    assert boundary_matrix(E, 0).matrix.shape == (0, 0)
+    with pytest.raises(DimensionError):
+        boundary_matrix(E, 1)
 
 
 def test_boundary_of_boundary_is_zero():
