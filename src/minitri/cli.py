@@ -14,6 +14,7 @@ import json
 import sys
 
 from . import facetio
+from .complexes import _compact
 from .errors import ComplexError, HypothesisError
 from .homology import euler_characteristic, homology
 
@@ -92,8 +93,9 @@ def _cmd_links(args) -> int:
     K = facetio.load(args.file)
     d = K.dimension
     rows = []
-    for v in K.vertices:
-        lk = K.link((v,))
+    links = K._links(0)
+    for i, v in enumerate(K.vertices):
+        lk = _compact(K.labels, links[(i,)])
         prof = homology(lk, reduced=True)
         rows.append(
             {

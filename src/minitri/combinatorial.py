@@ -20,7 +20,6 @@ manifold triangulation (REJECTED).
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -66,9 +65,9 @@ def _is_low_sphere(facets, k):
         return False
     if k == 1:
         return True
-    vertices = {v for f in facets for v in f}
-    edges = {e for f in facets for e in itertools.combinations(f, 2)}
-    return len(vertices) - len(edges) + len(facets) == 2
+    # Each triangle has 3 edges and each edge lies on 2 triangles, so
+    # 3F = 2E and chi = V - E + F = V - F/2.
+    return 2 * len({v for f in facets for v in f}) - len(facets) == 4
 
 
 @dataclass(frozen=True)
@@ -264,10 +263,6 @@ def _simplex_boundary_vertices(facets):
     return None
 
 
-def _is_simplex_boundary(L: SimplicialComplex) -> bool:
-    return _simplex_boundary_vertices(L._id_facets) is not None
-
-
 def _flip_cofacet(K: SimplicialComplex, face):
     """Vertices of the simplex a flip of ``face`` adds, or None if it is illegal.
 
@@ -275,10 +270,15 @@ def _flip_cofacet(K: SimplicialComplex, face):
     missing from K.  Every facet the flip adds contains that simplex, so
     none of them can already be in K.
     """
-    lk = K.link(face)
-    if not _is_simplex_boundary(lk) or K.has_simplex(lk.vertices):
+    sids = K._simplex_ids(face)
+    s = set(sids)
+    w = _simplex_boundary_vertices(
+        [tuple(v for v in f if v not in s) for f in K._facets_containing(sids)]
+    )
+    if w is None:
         return None
-    return lk.vertices
+    cofacet = K._to_labels(w)
+    return None if K.has_simplex(cofacet) else cofacet
 
 
 def bistellar_moves(K: SimplicialComplex):
@@ -356,7 +356,7 @@ def bistellar_sphere_heuristic(
         applied = []
         last = None
         for _ in range(move_budget):
-            if _is_simplex_boundary(current):
+            if _simplex_boundary_vertices(current._id_facets) is not None:
                 break
             moves = bistellar_moves(current)
             if last is not None and len(moves) > 1:
@@ -372,7 +372,7 @@ def bistellar_sphere_heuristic(
             current = apply_bistellar_move(current, pick)
             applied.append(pick)
             last = pick
-        if _is_simplex_boundary(current):
+        if _simplex_boundary_vertices(current._id_facets) is not None:
             return BistellarResult(
                 success=True,
                 moves=tuple(applied),

@@ -18,6 +18,10 @@ more often a mistake than a request for the empty complex.
 
 Instances are immutable; derived data (skeleta, pseudomanifold reports,
 homology profiles) is memoized on the instance.
+
+``_links(i)`` reads the link facets of every i-face from one pass over
+the facets; the CLI's ``links``, ``verify-local``, ``bistellar_moves``
+and the small-link certificate take their links from it.
 """
 
 from __future__ import annotations
@@ -107,45 +111,42 @@ class PseudomanifoldReport:
         }
 
 
+def _find(parent, x):
+    """Root of x in the union-find forest ``parent``, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _pseudomanifold(id_facets, d):
     """Closed-pseudomanifold report of the facets ``id_facets`` of a d-complex, d >= 1.
 
     A (d-1)-face that lies in no top facet is itself a facet with d
     vertices, so ridge degree 2 means: no such facet, and every ridge of
-    a top facet lies in exactly two top facets.
+    a top facet lies in exactly two top facets.  One pass over the
+    ridges joins the top facets on each ridge, so strong connectivity is
+    one union-find component.
     """
     top = [f for f in id_facets if len(f) == d + 1]
-    ridge_to_facets = {}
+    parent = list(range(len(top)))
+    ridge_ok = not any(len(f) == d for f in id_facets)
+    first = {}  # ridge -> its first top facet, stored as ~idx once a second one meets it
     for idx, f in enumerate(top):
         for ridge in itertools.combinations(f, d):
-            ridge_to_facets.setdefault(ridge, []).append(idx)
-    ridge_ok = all(len(v) == 2 for v in ridge_to_facets.values()) and not any(
-        len(f) == d for f in id_facets
-    )
-
-    # Strong connectivity: walk the ridge-adjacency graph of top facets.
-    strongly_connected = False
-    if top:
-        adj = {i: set() for i in range(len(top))}
-        for members in ridge_to_facets.values():
-            for a, b in itertools.combinations(members, 2):
-                adj[a].add(b)
-                adj[b].add(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        strongly_connected = len(seen) == len(top)
-
+            j = first.setdefault(ridge, idx)
+            if j == idx:
+                continue
+            if j < 0:
+                ridge_ok, j = False, ~j
+            else:
+                first[ridge] = ~j
+            parent[_find(parent, idx)] = _find(parent, j)
     return PseudomanifoldReport(
         dimension=d,
         pure=len(top) == len(id_facets),
-        ridge_degree_two=ridge_ok,
-        strongly_connected=strongly_connected,
+        ridge_degree_two=ridge_ok and all(j < 0 for j in first.values()),
+        strongly_connected=len({_find(parent, i) for i in range(len(top))}) == 1,
     )
 
 
@@ -263,10 +264,13 @@ class SimplicialComplex:
         """Every i-face mapped to its link's facets, as id tuples F - sigma.
 
         One pass over the facets, nothing memoized.  Each list is sorted
-        and an antichain, as the facets are: removing sigma from the
-        facets containing it keeps their order, so ``_compact`` of it is
-        ``link(sigma)``.  For a sorted F the (i+1)-subsets in lex order
-        pair with their complements in reverse lex order.
+        and an antichain, as the facets are, so ``_compact`` of it is
+        ``link(sigma)``.  Removing sigma keeps the order of facets F < G
+        containing it: where they first differ, F's vertex is not in G, so
+        not in sigma, and only G - sigma ending there, a prefix of F - sigma,
+        could put it first; then G would lie in F, which an antichain rules
+        out.  For a sorted F the (i+1)-subsets in lex order pair with
+        their complements in reverse lex order.
         """
         links = defaultdict(list)
         for f in self._id_facets:
@@ -289,6 +293,7 @@ class SimplicialComplex:
         if not cofacets:
             raise MissingSimplexError(f"{tuple(simplex)!r} is not a face")
         s = set(sids)
+        # a sorted antichain, for the reason given in ``_links``
         return _compact(self.labels, [tuple(v for v in f if v not in s) for f in cofacets])
 
     def star(self, simplex):
@@ -318,7 +323,9 @@ class SimplicialComplex:
     def full_subcomplex(self, vertex_set):
         """All faces whose vertices lie inside the given vertex set."""
         vids = self._vertex_ids(vertex_set)
-        return _compact(self.labels, [tuple(v for v in f if v in vids) for f in self._id_facets])
+        return _compact(
+            self.labels, _antichain([tuple(v for v in f if v in vids) for f in self._id_facets])
+        )
 
     def incremental_full_subcomplex(self, vertex_set, vertex):
         """Full subcomplex on V ∪ {v}, grown from the one on V.
@@ -366,22 +373,11 @@ class SimplicialComplex:
     def is_connected(self) -> bool:
         """Connectivity through shared vertices (equivalently, edge paths)."""
         n = self.n_vertices
-        if n == 0:
-            return True
         parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for f in self._id_facets:
             for a, b in zip(f, f[1:]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-        return len({find(v) for v in range(n)}) == 1
+                parent[_find(parent, a)] = _find(parent, b)
+        return len({_find(parent, v) for v in range(n)}) <= 1
 
     @_memoized
     def is_closed_pseudomanifold(self) -> PseudomanifoldReport:
@@ -396,46 +392,33 @@ class SimplicialComplex:
 
     @_memoized
     def is_orientable(self) -> bool:
-        """Coherent orientation propagation over the facet adjacency graph.
+        """Can the facets be signed so that each ridge gets opposite orientations?
 
-        Only defined for closed pseudomanifolds.  Success means every
-        ridge receives opposite induced orientations from its two facets.
+        Only defined for closed pseudomanifolds.  One pass over the ridges
+        joins the two facets of each in a union-find with a parity bit per
+        facet; a ridge whose facets are already joined with the wrong
+        parity proves the complex non-orientable.
         """
         report = self.is_closed_pseudomanifold()
         if not report.is_closed_pseudomanifold:
             raise NotPseudomanifoldError("orientability needs a closed pseudomanifold")
+        # Node 2*idx + b: "facet idx has sign (-1)^b", so the low bit is the
+        # parity and path halving carries it.  The ridge omitting f[p] has
+        # sign (-1)^p in f: node a is "f induces +", so b must induce -.
         d = self.dimension
-        facets = self._id_facets
-        ridge_to_facets = {}
-        for idx, f in enumerate(facets):
-            for j in range(d + 1):
-                ridge = f[:j] + f[j + 1 :]
-                # (-1)^j is the sign of the ridge inside the sorted facet.
-                ridge_to_facets.setdefault(ridge, []).append((idx, -1 if j % 2 else 1))
-        orientation = {0: 1}
-        stack = [0]
-        ok = True
-        while stack and ok:
-            cur = stack.pop()
-            f = facets[cur]
-            for j in range(d + 1):
-                ridge = f[:j] + f[j + 1 :]
-                pair = ridge_to_facets[ridge]
-                for other, sign_other in pair:
-                    if other == cur:
-                        continue
-                    sign_cur = -1 if j % 2 else 1
-                    needed = -orientation[cur] * sign_cur * sign_other
-                    if other in orientation:
-                        if orientation[other] != needed:
-                            ok = False
-                            break
-                    else:
-                        orientation[other] = needed
-                        stack.append(other)
-                if not ok:
-                    break
-        return ok
+        parent = list(range(2 * len(self._id_facets)))
+        first = {}
+        for idx, f in enumerate(self._id_facets):
+            for j, ridge in enumerate(itertools.combinations(f, d)):
+                a = 2 * idx + ((d - j) & 1)  # combinations omits f[d], f[d-1], ..., f[0]
+                b = first.setdefault(ridge, a)
+                if b != a:
+                    ra, rb = _find(parent, a), _find(parent, b)
+                    if ra == rb:
+                        return False
+                    parent[ra] = _find(parent, b ^ 1)
+                    parent[_find(parent, a ^ 1)] = rb
+        return True
 
     # -- dunder ------------------------------------------------------------
 
@@ -483,17 +466,20 @@ def from_facets(facets):
 
 
 def _compact(labels, id_facets):
-    """Complex on the maximal members of ``id_facets``, ids indexing ``labels``.
+    """Complex on the facets ``id_facets``, ids indexing ``labels``.
 
-    Only the labels some facet uses are kept, renumbered in id order.  No
-    facets, or only empty ones, give the empty complex.
+    ``id_facets`` must be a sorted antichain of sorted id tuples, as
+    links, stars and ``_links`` lists are; other input goes through
+    ``_antichain`` first.  Only the labels some facet uses are kept,
+    renumbered in id order.  No facets, or only the empty one, give the
+    empty complex.
     """
-    reduced = _antichain(id_facets) if id_facets else ((),)
-    used = sorted({v for f in reduced for v in f})
+    facets = tuple(id_facets) or ((),)
+    used = sorted({v for f in facets for v in f})
     remap = {v: j for j, v in enumerate(used)}
     # remap is increasing, so the antichain's lexicographic order survives
     return SimplicialComplex(
-        tuple(labels[v] for v in used), tuple(tuple(remap[v] for v in f) for f in reduced)
+        tuple(labels[v] for v in used), tuple(tuple(remap[v] for v in f) for f in facets)
     )
 
 
@@ -504,4 +490,6 @@ def _from_label_facets(label_facets, label_order):
     complex); plain empty input yields the empty complex.
     """
     order = {lab: i for i, lab in enumerate(label_order)}
-    return _compact(label_order, [tuple(sorted(order[lab] for lab in f)) for f in label_facets])
+    return _compact(
+        label_order, _antichain([tuple(sorted(order[lab] for lab in f)) for f in label_facets])
+    )

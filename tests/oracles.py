@@ -17,6 +17,7 @@ and the library ever disagree, one of them is wrong and the tests
 should say so loudly.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
@@ -354,6 +355,24 @@ def pseudomanifold_report_naive(K):
         ridge_degree_two=ridge_ok,
         strongly_connected=strongly_connected,
     )
+
+
+def is_connected_naive(K):
+    """Breadth-first search over the vertices, stepping within facets."""
+    if not K.vertices:
+        return True
+    start = K.vertices[0]
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for f in K.facets:
+            if v in f:
+                for w in f:
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+    return len(seen) == K.n_vertices
 
 
 def recognize_circle_naive(K):

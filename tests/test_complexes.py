@@ -1,6 +1,9 @@
+import importlib.util
 import random
+import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +16,11 @@ from minitri.errors import (
     VertexSetError,
 )
 from minitri import facetio, fixtures
+from minitri.homology import homology
 
-from oracles import pseudomanifold_report_naive, random_complex
+from oracles import is_connected_naive, pseudomanifold_report_naive, random_complex
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def test_facets_form_an_antichain():
@@ -230,7 +236,9 @@ def test_pseudomanifold_report_matches_naive():
     pendant_edge = from_facets(list(sphere.facets) + [(1, 9)])
     assert not pendant_ridge.is_closed_pseudomanifold().ridge_degree_two
     assert pendant_edge.is_closed_pseudomanifold().ridge_degree_two
-    inputs = [sphere, pendant_ridge, pendant_edge, fixtures.rp2_6(), fixtures.cp2_9()]
+    book = from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5)])  # pages joined only at the spine
+    assert book.is_closed_pseudomanifold().strongly_connected
+    inputs = [sphere, pendant_ridge, pendant_edge, book, fixtures.rp2_6(), fixtures.cp2_9()]
     inputs += [random_complex(rng) for _ in range(300)]
     checked = 0
     for K in inputs:
@@ -251,6 +259,72 @@ def test_orientability():
 def test_connectedness():
     assert fixtures.rp2_6().is_connected()
     assert not from_facets([(1, 2), (3, 4)]).is_connected()
+
+
+def _benchmark_corpus(seed):
+    """The benchmark's bistellar-randomized triangulations for one seed."""
+    module = sys.modules.get("workloads")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["workloads"] = module
+        spec.loader.exec_module(module)
+    return [K for _, K in module.generate_corpus(random.Random(seed))]
+
+
+def _klein_bottle(a=3, b=3):
+    """The a x b grid on a square, sides glued straight and top to bottom flipped."""
+
+    def vertex(i, j):
+        return ((-i) % a, 0) if j == b else (i % a, j)
+
+    facets = []
+    for i in range(a):
+        for j in range(b):
+            diagonal = (vertex(i, j), vertex(i + 1, j + 1))
+            facets += [diagonal + (vertex(i + 1, j),), diagonal + (vertex(i, j + 1),)]
+    return from_facets(facets)
+
+
+def test_orientability_matches_top_homology():
+    # A closed, strongly connected d-pseudomanifold is orientable iff
+    # H_d(K; Z) = Z; otherwise H_d(K; Z) = 0.
+    klein = _klein_bottle()
+    assert homology(klein).groups == ((0, 1, ()), (1, 1, (2,)))
+    cross = fixtures.cross_polytope(5)
+    inputs = [
+        fixtures.boundary_simplex(3),
+        fixtures.cross_polytope(2),
+        fixtures.cross_polytope(4),
+        fixtures.rp2_6(),
+        fixtures.torus_7(),
+        fixtures.cp2_9(),
+        fixtures.cyclic_polytope(8, 4),
+        fixtures.rp2_6().join(from_facets([(7,), (8,)])),
+        klein,
+    ]
+    inputs += [K for seed in (1, 2, 3) for K in _benchmark_corpus(seed)]
+    inputs += [cross.link(s) for i in range(cross.dimension - 1) for s in cross.faces(i)]
+    verdicts = []
+    for K in inputs:
+        assert K.is_closed_pseudomanifold().is_closed_pseudomanifold
+        top = homology(K).group(K.dimension)
+        assert top in ((1, ()), (0, ()))
+        assert K.is_orientable() == (top == (1, ())), K.facets
+        verdicts.append(top == (1, ()))
+    assert verdicts.count(False) >= 20 and verdicts.count(True) >= 150
+
+
+def test_connectedness_matches_bfs():
+    rng = random.Random(41)
+    inputs = [fixtures.rp2_6().link(fixtures.rp2_6().facets[0])]  # the empty complex
+    for _ in range(400):
+        K = random_complex(rng)
+        isolated = [(100 + k,) for k in range(rng.randint(0, 2))]
+        inputs.append(from_facets(list(K.facets) + isolated))
+    verdicts = [is_connected_naive(K) for K in inputs]
+    assert [K.is_connected() for K in inputs] == verdicts
+    assert verdicts.count(False) >= 100 and verdicts.count(True) >= 50
 
 
 def test_relabeling_preserves_structure():
