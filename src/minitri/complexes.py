@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -49,17 +50,36 @@ def _antichain(id_facets):
     Input tuples must be sorted.  Output is lexicographically sorted and
     duplicate free.  The empty tuple survives only if it is the sole
     member, matching the convention for the empty complex.
+
+    Facets are taken longest first, one length at a time, and a facet is
+    tested only against the longer kept facets through its rarest
+    vertex: any kept facet containing it passes through that vertex.
+    Facets of equal length never contain one another, so a pure family
+    makes no subset test at all.
     """
-    unique = sorted(set(id_facets), key=lambda f: (-len(f), f))
+    by_len = defaultdict(set)
+    for f in id_facets:
+        by_len[len(f)].add(f)
     kept = []
-    kept_sets = []
-    for f in unique:
-        fs = frozenset(f)
-        if any(fs <= k for k in kept_sets):
-            continue
-        kept.append(f)
-        kept_sets.append(fs)
-    return tuple(sorted(kept))
+    through = {}  # vertex -> the kept longer facets through it, as sets
+    for n in sorted(by_len, reverse=True):
+        group = by_len[n]
+        if kept:
+            for g in kept[-1]:
+                gs = frozenset(g)
+                for v in g:
+                    through.setdefault(v, []).append(gs)
+            # the empty tuple lies in any kept facet
+            group = [f for f in group if f and not _inside(f, through)]
+        kept.append(group)
+    return tuple(sorted(f for group in kept for f in group))
+
+
+def _inside(f, through):
+    # Whether the id tuple f lies in one of the sets indexed by ``through``.
+    rarest = min((through.get(v, ()) for v in f), key=len)
+    fs = frozenset(f)
+    return any(fs <= g for g in rarest)
 
 
 def _memoized(method):
@@ -390,14 +410,27 @@ class SimplicialComplex:
             raise DimensionError("pseudomanifold check needs a complex of dimension >= 1")
         return _pseudomanifold(self._id_facets, self.dimension)
 
-    @_memoized
     def is_orientable(self) -> bool:
         """Can the facets be signed so that each ridge gets opposite orientations?
 
-        Only defined for closed pseudomanifolds.  One pass over the ridges
-        joins the two facets of each in a union-find with a parity bit per
-        facet; a ridge whose facets are already joined with the wrong
-        parity proves the complex non-orientable.
+        Only defined for closed pseudomanifolds; the answer is read off
+        ``_ridge_forest``, the same ridge walk that gives homology its top
+        boundary map.
+        """
+        return self._ridge_forest()[0]
+
+    @_memoized
+    def _ridge_forest(self):
+        """``(orientable, tree)`` from one walk over the ridges of a closed pseudomanifold.
+
+        The facets and ridges form the dual graph: a closed pseudomanifold
+        has every ridge in exactly two facets, and strong connectivity
+        makes the graph connected.  A union-find with a parity bit per
+        facet joins the two facets of each ridge.  ``tree`` holds the
+        ``_ifaces(d - 1)`` indices of the ridges that joined two
+        components, a spanning tree of f_d - 1 ridges; a ridge whose
+        facets are already joined with the wrong parity proves the complex
+        non-orientable.  Raises NotPseudomanifoldError on any other complex.
         """
         report = self.is_closed_pseudomanifold()
         if not report.is_closed_pseudomanifold:
@@ -405,20 +438,31 @@ class SimplicialComplex:
         # Node 2*idx + b: "facet idx has sign (-1)^b", so the low bit is the
         # parity and path halving carries it.  The ridge omitting f[p] has
         # sign (-1)^p in f: node a is "f induces +", so b must induce -.
+        # Only tree ridges join, so each component is mirrored by the one
+        # holding the opposite nodes: a facet already joined to b's facet
+        # has a in the component of b (wrong parity) or of b ^ 1.
         d = self.dimension
         parent = list(range(2 * len(self._id_facets)))
         first = {}
+        orientable = True
+        tree = []
         for idx, f in enumerate(self._id_facets):
             for j, ridge in enumerate(itertools.combinations(f, d)):
                 a = 2 * idx + ((d - j) & 1)  # combinations omits f[d], f[d-1], ..., f[0]
                 b = first.setdefault(ridge, a)
-                if b != a:
-                    ra, rb = _find(parent, a), _find(parent, b)
-                    if ra == rb:
-                        return False
-                    parent[ra] = _find(parent, b ^ 1)
+                if b == a:
+                    continue
+                ra, rb = _find(parent, a), _find(parent, b)
+                if ra == rb:
+                    orientable = False
+                    continue
+                rb1 = _find(parent, b ^ 1)
+                if ra != rb1:
+                    parent[ra] = rb1
                     parent[_find(parent, a ^ 1)] = rb
-        return True
+                    tree.append(ridge)
+        ridges = self._ifaces(d - 1)
+        return orientable, frozenset(bisect_left(ridges, r) for r in tree)
 
     # -- dunder ------------------------------------------------------------
 

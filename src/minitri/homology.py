@@ -33,12 +33,33 @@ hence its rank and invariant factors, is unchanged.  Only the unit
 pivots of ``snf``'s first phase clear; pivots of its Euclid residual do
 not.  Each map is built with the cleared faces already left out.
 
+The top map d_d of a closed pseudomanifold (d >= 1) is not eliminated.
+Every ridge lies in exactly two facets, so d_d is the signed incidence
+matrix of the dual graph, which has the facets as nodes and the ridges
+as edges: the row of a ridge holds one entry +-1 for each of its two
+facets.  Strong connectivity makes the graph connected; let T be the
+ridges of a spanning tree and r a root facet.  A leaf facet other than r
+lies on one ridge of T, so its column of d_d[T, C], C being the facets
+other than r, has a single entry +-1; expanding along it and removing
+the leaf leaves a smaller tree, so det d_d[T, C] = +-1.  The f_d - 1
+tree ridges are thus unit pivots, and clearing leaves them out of
+d_{d-1} exactly as it does the pivot rows of an elimination.  Pivoting
+them out signs every facet relative to r along the tree and leaves the
+single column of r: in the row of a ridge outside T the entry is 0 when
+its two facets, so signed, induce opposite orientations on it, and +-2
+when they induce the same.  So the invariant factors are f_d - 1 ones,
+plus one 2 when K is non-orientable.  One parity union-find over the
+ridges (``SimplicialComplex._ridge_forest``) gives T and the
+orientability; no matrix is built.  Other complexes are eliminated as
+above.
+
 Cohomology over Z reduces the transposed maps bottom-up and clears with
 their own unit pivots (de Silva, Morozov and Vejdemo-Johansson,
 arXiv:1107.5665): d_{i-1}^T's pivot rows, which are (i-1)-faces, are
 left out as rows of d_i, which is then transposed.  Cohomology is then
 checked against homology via universal coefficients; the check is a
-real one because no reduction or pivot is shared between the two sides.
+real one because no reduction or pivot is shared between the two sides,
+and it checks the spanning-tree reading of d_d as well.
 A failed check raises CrossCheckError.
 
 ``_reduction`` is the only reduction cache: it memoizes one SNF per
@@ -60,7 +81,7 @@ from .errors import (
     HypothesisError,
     NotPseudomanifoldError,
 )
-from .snf import SparseMatrix, is_prime, smith_normal_form
+from .snf import SNFResult, SparseMatrix, is_prime, smith_normal_form
 
 _COEFF_RE = re.compile(r"[Zz](?:/)?(\d+)\Z")
 
@@ -207,6 +228,14 @@ def _reduction(K: SimplicialComplex, i: int, transposed=False):
 
 
 def _reduce(K, i, transposed):
+    # The top map of a closed pseudomanifold is read off its dual spanning
+    # tree, with the tree ridges as pivot rows (see the module docstring).
+    top = not transposed and i == K.dimension >= 1
+    if top and K.is_closed_pseudomanifold().is_closed_pseudomanifold:
+        orientable, tree = K._ridge_forest()
+        f_top = len(K._ifaces(i))
+        factors = (1,) * (f_top - 1) + ((2,) if not orientable else ())
+        return SNFResult((len(K._ifaces(i - 1)), f_top), factors, tree)
     # Clearing: the unit pivot rows of the neighbouring map, reduced first,
     # index columns that the remaining columns already generate: columns
     # of d_i for homology, rows of d_i (columns of d_i^T) for cohomology.

@@ -6,7 +6,8 @@ determinantal-divisor ratios for small matrices, a bare-hands
 fraction-free determinant, dense Gaussian elimination over F_p for
 mod-p ranks, homology profiles from one Smith form per whole boundary
 map (no clearing, Z_p Betti numbers from ranks mod p rather than by
-universal coefficients), closed-pseudomanifold reports that count
+universal coefficients), antichains that test every pair of members,
+closed-pseudomanifold reports that count
 top facets over every ridge of the face index, Tietze simplification
 that recounts every generator over every relator for each candidate
 move, a
@@ -315,6 +316,19 @@ def quotient_search_naive(P, max_degree, node_budget):
         if nodes > node_budget:
             return None, True
     return None, False
+
+
+def antichain_naive(id_facets):
+    """The maximal members of a family of sorted tuples, each tested against all.
+
+    Sorted and duplicate free; the empty tuple is kept only when it is
+    the sole member.
+    """
+    members = set(id_facets)
+    return tuple(sorted(
+        f for f in members
+        if not any(set(f) < set(g) for g in members) and (f or len(members) == 1)
+    ))
 
 
 def pseudomanifold_report_naive(K):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minitri.complexes import SimplicialComplex, from_facets
+from minitri.complexes import SimplicialComplex, _antichain, from_facets
 from minitri.errors import (
     FacetInputError,
     MissingSimplexError,
@@ -18,7 +18,7 @@ from minitri.errors import (
 from minitri import facetio, fixtures
 from minitri.homology import homology
 
-from oracles import is_connected_naive, pseudomanifold_report_naive, random_complex
+from oracles import antichain_naive, is_connected_naive, pseudomanifold_report_naive, random_complex
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -28,6 +28,25 @@ def test_facets_form_an_antichain():
     assert K.facets == ((1, 2, 3), (4, 5))
     assert K.dimension == 2
     assert K.n_vertices == 5
+
+
+def test_antichain_matches_naive_oracle():
+    # every family mixes lengths, so most members are tested; some repeat
+    # members or hold the empty tuple
+    rng = random.Random(47)
+    families = [[], [()], [(), ()], [(), (3,)], [(1, 2), (1, 2), (2,)]]
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        family = [
+            tuple(sorted(rng.sample(range(n), rng.randint(0, min(n, 6)))))
+            for _ in range(rng.randint(1, 14))
+        ]
+        if rng.random() < 0.3:
+            family += rng.sample(family, min(3, len(family)))
+        families.append(family)
+    for family in families:
+        assert _antichain(family) == antichain_naive(family), family
+    assert sum(1 for f in families if () in f) > 100
 
 
 def test_facet_order_within_simplex_is_canonical():

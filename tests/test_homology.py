@@ -16,7 +16,7 @@ from minitri import facetio, fixtures
 from minitri.bounds import homology_sphere_verdict
 from minitri.cli import main
 from minitri.complexes import from_facets
-from minitri.errors import CoefficientError, CrossCheckError, DimensionError
+from minitri.errors import CoefficientError, CrossCheckError, DimensionError, NotPseudomanifoldError
 from minitri.homology import (
     boundary_matrix,
     cohomology,
@@ -28,6 +28,7 @@ from minitri.homology import (
 from minitri.snf import SparseMatrix, smith_normal_form
 
 from oracles import profile_per_map, rank_mod_p_naive, random_complex, suspension
+from test_complexes import _benchmark_corpus
 
 # the package attribute minitri.homology is the function, not the module
 homology_module = importlib.import_module("minitri.homology")
@@ -161,9 +162,11 @@ def test_wide_cross_polytope_is_sphere(d):
 def test_reductions_memoized_once_per_map(monkeypatch):
     # Homology reduces top-down: each map loses the columns that are unit
     # pivot rows of the map above it, so d_i is reduced as f_{i-1} x
-    # (f_i - r_{i+1}).  Cohomology reduces its transposed maps bottom-up
-    # with its own pivots, so d_i^T is reduced as f_i x (f_{i-1} - r_{i-1}).
-    # Reduced profiles are read off the unreduced ones: no augmented map.
+    # (f_i - r_{i+1}).  The top map of a closed pseudomanifold is read off
+    # its dual spanning tree, with no SNF call.  Cohomology reduces its
+    # transposed maps bottom-up with its own pivots, so d_i^T is reduced as
+    # f_i x (f_{i-1} - r_{i-1}).  Reduced profiles are read off the
+    # unreduced ones: no augmented map.
     shapes = []
     real = homology_module.smith_normal_form
 
@@ -180,14 +183,96 @@ def test_reductions_memoized_once_per_map(monkeypatch):
         r[i] = f[i] - r[i + 1]
     assert f[0] - r[1] == 1
     homology(K)
-    assert shapes == [(f[i - 1], f[i] - r[i + 1]) for i in (3, 2, 1)]
+    assert shapes == [(f[i - 1], f[i] - r[i + 1]) for i in (2, 1)]
+    assert homology_module._reduction(K, 3).shape == (f[2], f[3])
     assert homology(K, reduced=True).is_sphere(3)
     assert homology(K, "Z2", reduced=True).is_sphere(3)
-    assert shapes[3:] == []
+    assert shapes[2:] == []
     del shapes[:]
     cohomology(K)
     assert cohomology(K, reduced=True).is_sphere(3)
     assert shapes == [(f[1], f[0]), (f[2], f[1] - r[1]), (f[3], f[2] - r[2])]
+    # a three-page book has a ridge in three facets, so its top map goes
+    # through SNF like the others
+    del shapes[:]
+    homology(from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5)]))
+    assert shapes == [(7, 3), (5, 4)]
+
+
+def _closed_pseudomanifolds():
+    rp2 = fixtures.rp2_6()
+    cross = fixtures.cross_polytope(5)
+    inputs = [
+        fixtures.boundary_simplex(1),
+        fixtures.boundary_simplex(4),
+        fixtures.cross_polytope(2),
+        fixtures.cross_polytope(4),
+        fixtures.cyclic_polytope(8, 4),
+        rp2,
+        fixtures.torus_7(),
+        fixtures.cp2_9(),
+        # Sigma^4 RP^2, as the join with a 3-sphere, and RP^2 * RP^2
+        rp2.join(from_facets([tuple(v + 100 for v in f) for f in fixtures.cross_polytope(3).facets])),
+        rp2.join(from_facets([tuple(v + 10 for v in f) for f in rp2.facets])),
+    ]
+    inputs += [K for seed in (1, 2, 3) for K in _benchmark_corpus(seed)]
+    inputs += [cross.link(s) for i in range(cross.dimension - 1) for s in cross.faces(i)]
+    return inputs
+
+
+def test_top_map_of_closed_pseudomanifold_read_off_spanning_tree(monkeypatch):
+    # d_d of a closed pseudomanifold is the signed incidence matrix of its
+    # dual graph: f_d - 1 unit factors, and a 2 when it is non-orientable.
+    def no_snf(M):
+        raise AssertionError(f"top map reduced by SNF, shape {M.shape}")
+
+    monkeypatch.setattr(homology_module, "smith_normal_form", no_snf)
+    twos = []
+    for K in _closed_pseudomanifolds():
+        d = K.dimension
+        assert K.is_closed_pseudomanifold().is_closed_pseudomanifold
+        got = homology_module._reduce(K, d, False)
+        full = boundary_matrix(K, d).matrix
+        assert got == smith_normal_form(full), K.facets
+        # the tree ridges are f_d - 1 rows whose block has det +-1 on f_d - 1
+        # columns: the unit pivots that clearing needs
+        rows = sorted(got.pivot_rows)
+        assert len(rows) == full.shape[1] - 1
+        block = SparseMatrix((len(rows), full.shape[1]), {k: full.rows[r] for k, r in enumerate(rows)})
+        assert smith_normal_form(block).invariant_factors == (1,) * len(rows), K.facets
+        assert K.is_orientable() == (2 not in got.invariant_factors)
+        twos.append(2 in got.invariant_factors)
+    assert twos.count(True) >= 20 and twos.count(False) >= 400
+
+
+def test_top_map_of_other_complexes_goes_through_snf(monkeypatch):
+    # Only closed pseudomanifolds take the spanning-tree shortcut; the
+    # elimination handles the rest.
+    shapes = []
+    real = homology_module.smith_normal_form
+
+    def counting(M):
+        shapes.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(homology_module, "smith_normal_form", counting)
+    sphere = fixtures.boundary_simplex(2).facets  # on vertices 0..3
+    inputs = [
+        from_facets(list(sphere) + [tuple(v + 3 for v in f) for f in sphere]),  # pinched at 3
+        from_facets(list(sphere) + [tuple(v + 10 for v in f) for f in sphere]),  # disjoint
+        from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5)]),  # a three-page book
+        from_facets([(1, 2, 3), (1, 3, 4), (1, 4, 5)]),  # a disk
+    ]
+    for K in inputs:
+        d = K.dimension
+        with pytest.raises(NotPseudomanifoldError):
+            K._ridge_forest()
+        del shapes[:]
+        got = homology_module._reduce(K, d, False)
+        full = boundary_matrix(K, d).matrix
+        assert shapes == [full.shape]
+        assert got == smith_normal_form(full), K.facets
+        assert homology(K).groups == profile_per_map(K), K.facets
 
 
 @settings(max_examples=60, deadline=None)
