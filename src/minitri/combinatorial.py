@@ -3,14 +3,26 @@
 The certificate sweeps the proper links by dimension.  Each level reads
 every link's facets from one pass over the facets of the complex
 (``SimplicialComplex._links``), as tuples of the complex's vertex ids.
-Vertex counts, circles and 2-spheres are read off those tuples: the
-closed-pseudomanifold flags plus, for 2-spheres, the Euler
-characteristic.  Only a higher link becomes a complex of its own, for
-its homology: it must be an integer homology sphere and must fit a 3k
-vertex budget, k the link dimension.  For d >= 3
-the budget also holds the complex itself (the link of the empty simplex)
-to 3d vertices, so a CERTIFIED complex that is also a homology sphere is
-a PL-sphere outright, which is what ``alexander_duality_check`` relies on.
+Vertex counts, circles and 2-spheres are read off those tuples.
+
+Levels k = 1 and 2 trust the entry check, which proves K a closed
+d-pseudomanifold.  Every facet of K then has d + 1 vertices, so the link
+of a (d-k-1)-face sigma is pure of dimension k.  A ridge rho of that link
+gives the ridge sigma + rho of K, which lies in exactly two facets of K,
+both through sigma; so rho lies in exactly two facets of the link.  A
+k = 1 link is therefore a 2-regular graph, and a circle iff one walk
+around it covers every edge.  A k = 2 link is a closed 2-pseudomanifold
+except perhaps for strong connectivity, and a 2-sphere iff it is
+strongly connected and 2V - F = 4 (see ``recognize_2sphere``).  No
+pseudomanifold report is built per link.  The recognizers take
+arbitrary complexes, so they run the full check.
+
+Only a higher link becomes a complex of its own, for its homology: it
+must be an integer homology sphere and must fit a 3k vertex budget, k
+the link dimension.  For d >= 3 the budget also holds the complex
+itself (the link of the empty simplex) to 3d vertices, so a CERTIFIED
+complex that is also a homology sphere is a PL-sphere outright, which is
+what ``alexander_duality_check`` relies on.
 
 Size violations and homology violations are kept apart on purpose.  An
 oversized link only exits the hypothesis of the certification criterion
@@ -24,7 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import SimplicialComplex, _compact, _memoized, _pseudomanifold, from_facets
+from .complexes import SimplicialComplex, _compact, _find, _memoized, from_facets
 from .errors import DimensionError, HypothesisError, NotPseudomanifoldError
 from .homology import homology
 
@@ -37,7 +49,7 @@ def recognize_circle(K: SimplicialComplex) -> bool:
     """
     if K.dimension != 1:
         raise DimensionError(f"circle recognition needs dimension 1, got {K.dimension}")
-    return _is_low_sphere(K._id_facets, 1)
+    return K.is_closed_pseudomanifold().is_closed_pseudomanifold
 
 
 def recognize_2sphere(K: SimplicialComplex) -> bool:
@@ -48,26 +60,57 @@ def recognize_2sphere(K: SimplicialComplex) -> bool:
     pinched vertex into c_v copies gives a closed surface N, connected
     because K is strongly connected, with chi(N) = chi(K) + sum(c_v - 1)
     <= 2.  So chi(K) = 2 forces every c_v = 1, hence N = K, and
-    chi(N) = 2 makes N the 2-sphere.
+    chi(N) = 2 makes N the 2-sphere.  As 3F = 2E, chi = V - F/2.
     """
     if K.dimension != 2:
         raise DimensionError(f"2-sphere recognition needs dimension 2, got {K.dimension}")
-    return _is_low_sphere(K._id_facets, 2)
-
-
-def _is_low_sphere(facets, k):
-    """Circle (k = 1) or 2-sphere (k = 2) test on the facets of a k-complex.
-
-    ``facets`` are sorted vertex-id tuples of dimension k; the ids need
-    not be dense.
-    """
-    if not _pseudomanifold(facets, k).is_closed_pseudomanifold:
+    if not K.is_closed_pseudomanifold().is_closed_pseudomanifold:
         return False
-    if k == 1:
-        return True
-    # Each triangle has 3 edges and each edge lies on 2 triangles, so
-    # 3F = 2E and chi = V - E + F = V - F/2.
-    return 2 * len({v for f in facets for v in f}) - len(facets) == 4
+    return 2 * K.n_vertices - len(K._id_facets) == 4
+
+
+def _closed_circle(edges):
+    """Whether a 2-regular graph, given by its edges, is one circle.
+
+    Every vertex lies on two edges, so one walk around the circle
+    through ``edges[0]`` covers every edge iff the graph is connected.
+    """
+    nbrs = {}
+    for a, b in edges:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    start, cur = edges[0]
+    prev, steps = start, 1
+    while cur != start:
+        x, y = nbrs[cur]
+        prev, cur = cur, y if x == prev else x
+        steps += 1
+    return steps == len(edges)
+
+
+def _closed_2sphere(triangles, n_vertices):
+    """Whether a closed 2-pseudomanifold on ``n_vertices`` vertices is a 2-sphere.
+
+    It is one iff it is strongly connected and chi = V - F/2 = 2, by the
+    argument of ``recognize_2sphere``.  Each edge lies on exactly two of
+    ``triangles``, so one union-find over the edges joins them.
+    """
+    if 2 * n_vertices - len(triangles) != 4:
+        return False
+    parent = list(range(len(triangles)))
+    first = {}  # edge -> its first triangle, until the second one meets it
+    components = len(triangles)
+    for idx, (a, b, c) in enumerate(triangles):
+        for edge in ((a, b), (a, c), (b, c)):
+            j = first.pop(edge, None)
+            if j is None:
+                first[edge] = idx
+                continue
+            ra, rb = _find(parent, idx), _find(parent, j)
+            if ra != rb:
+                parent[ra] = rb
+                components -= 1
+    return components == 1
 
 
 @dataclass(frozen=True)
@@ -123,12 +166,16 @@ def _level_test(k):
     return "homology k-sphere + 3k vertex budget", f"homology {k}-sphere"
 
 
-def _link_is_sphere(K, link, k):
-    """Is the link with facets ``link`` (K-id tuples) a k-sphere, by the level's test?"""
-    if max(map(len, link)) != k + 1:
-        return False
-    if k <= 2:
-        return _is_low_sphere(link, k)
+def _link_is_sphere(K, link, n_vertices, k):
+    """Is the link with facets ``link`` (K-id tuples) a k-sphere, by the level's test?
+
+    K must be a closed pseudomanifold, as the certificate's entry check
+    proves; see the module docstring for what that gives the link.
+    """
+    if k == 1:
+        return _closed_circle(link)
+    if k == 2:
+        return _closed_2sphere(link, n_vertices)
     return homology(_compact(K.labels, link), reduced=True).is_sphere(k)
 
 
@@ -159,7 +206,7 @@ def small_link_certificate(K: SimplicialComplex) -> CombinatorialityCertificate:
             max_seen = max(max_seen, nv)
             if allowed is not None and nv > allowed:
                 size_hits.append((K._to_labels(s), f"link has {nv} vertices, budget {allowed}"))
-            if not _link_is_sphere(K, link, k):
+            if not _link_is_sphere(K, link, nv, k):
                 rejections.append((K._to_labels(s), f"link is not a {sphere}"))
         levels.append(
             LevelSummary(

@@ -139,37 +139,6 @@ def _find(parent, x):
     return x
 
 
-def _pseudomanifold(id_facets, d):
-    """Closed-pseudomanifold report of the facets ``id_facets`` of a d-complex, d >= 1.
-
-    A (d-1)-face that lies in no top facet is itself a facet with d
-    vertices, so ridge degree 2 means: no such facet, and every ridge of
-    a top facet lies in exactly two top facets.  One pass over the
-    ridges joins the top facets on each ridge, so strong connectivity is
-    one union-find component.
-    """
-    top = [f for f in id_facets if len(f) == d + 1]
-    parent = list(range(len(top)))
-    ridge_ok = not any(len(f) == d for f in id_facets)
-    first = {}  # ridge -> its first top facet, stored as ~idx once a second one meets it
-    for idx, f in enumerate(top):
-        for ridge in itertools.combinations(f, d):
-            j = first.setdefault(ridge, idx)
-            if j == idx:
-                continue
-            if j < 0:
-                ridge_ok, j = False, ~j
-            else:
-                first[ridge] = ~j
-            parent[_find(parent, idx)] = _find(parent, j)
-    return PseudomanifoldReport(
-        dimension=d,
-        pure=len(top) == len(id_facets),
-        ridge_degree_two=ridge_ok and all(j < 0 for j in first.values()),
-        strongly_connected=len({_find(parent, i) for i in range(len(top))}) == 1,
-    )
-
-
 class SimplicialComplex:
     """Immutable simplicial complex, constructed via :func:`from_facets`."""
 
@@ -399,59 +368,80 @@ class SimplicialComplex:
                 parent[_find(parent, a)] = _find(parent, b)
         return len({_find(parent, v) for v in range(n)}) <= 1
 
-    @_memoized
     def is_closed_pseudomanifold(self) -> PseudomanifoldReport:
         """Check purity, ridge degree 2, and strong connectivity.
 
         Results are reported, not raised: callers that require a closed
-        pseudomanifold inspect the report.  Requires dimension >= 1.
+        pseudomanifold inspect the report.  Requires dimension >= 1.  The
+        report comes from ``_ridge_walk``, which also gives orientability
+        and the top boundary map's spanning tree.
         """
-        if self.dimension < 1:
-            raise DimensionError("pseudomanifold check needs a complex of dimension >= 1")
-        return _pseudomanifold(self._id_facets, self.dimension)
+        return self._ridge_walk()[0]
 
     def is_orientable(self) -> bool:
         """Can the facets be signed so that each ridge gets opposite orientations?
 
         Only defined for closed pseudomanifolds; the answer is read off
-        ``_ridge_forest``, the same ridge walk that gives homology its top
-        boundary map.
+        ``_ridge_walk``, the same ridge walk that gives the
+        pseudomanifold report and homology its top boundary map.
         """
         return self._ridge_forest()[0]
 
     @_memoized
     def _ridge_forest(self):
-        """``(orientable, tree)`` from one walk over the ridges of a closed pseudomanifold.
+        """``(orientable, tree)`` of a closed pseudomanifold, ``tree`` as ridge indices.
 
-        The facets and ridges form the dual graph: a closed pseudomanifold
-        has every ridge in exactly two facets, and strong connectivity
-        makes the graph connected.  A union-find with a parity bit per
-        facet joins the two facets of each ridge.  ``tree`` holds the
-        ``_ifaces(d - 1)`` indices of the ridges that joined two
-        components, a spanning tree of f_d - 1 ridges; a ridge whose
-        facets are already joined with the wrong parity proves the complex
-        non-orientable.  Raises NotPseudomanifoldError on any other complex.
+        ``tree`` holds the ``_ifaces(d - 1)`` indices of the spanning-tree
+        ridges of ``_ridge_walk``.  Raises NotPseudomanifoldError on any
+        other complex.
         """
-        report = self.is_closed_pseudomanifold()
+        report, orientable, tree = self._ridge_walk()
         if not report.is_closed_pseudomanifold:
             raise NotPseudomanifoldError("orientability needs a closed pseudomanifold")
+        ridges = self._ifaces(self.dimension - 1)
+        return orientable, frozenset(bisect_left(ridges, r) for r in tree)
+
+    @_memoized
+    def _ridge_walk(self):
+        """``(report, orientable, tree)`` from one walk over the ridges of the top facets.
+
+        The top facets and their ridges form the dual graph.  A union-find
+        with a parity bit per top facet joins the facets on each ridge.
+        ``tree`` lists the ridges that joined two components, so the top
+        facets are strongly connected iff it has one ridge fewer than
+        there are top facets; in a closed pseudomanifold it is a spanning
+        tree of the dual graph.  A ridge whose facets are already joined
+        with the wrong parity proves the complex non-orientable; the
+        orientability means nothing unless the complex is a closed
+        pseudomanifold.  A (d-1)-face that lies in no top facet is itself
+        a facet with d vertices, so ridge degree 2 means: no such facet,
+        and every ridge of a top facet lies in exactly two top facets.
+        """
+        d = self.dimension
+        if d < 1:
+            raise DimensionError("pseudomanifold check needs a complex of dimension >= 1")
+        top = [f for f in self._id_facets if len(f) == d + 1]
         # Node 2*idx + b: "facet idx has sign (-1)^b", so the low bit is the
         # parity and path halving carries it.  The ridge omitting f[p] has
         # sign (-1)^p in f: node a is "f induces +", so b must induce -.
         # Only tree ridges join, so each component is mirrored by the one
         # holding the opposite nodes: a facet already joined to b's facet
         # has a in the component of b (wrong parity) or of b ^ 1.
-        d = self.dimension
-        parent = list(range(2 * len(self._id_facets)))
-        first = {}
+        parent = list(range(2 * len(top)))
+        ridge_ok = not any(len(f) == d for f in self._id_facets)
+        first = {}  # ridge -> node of its first facet, stored as ~node once a second one meets it
         orientable = True
         tree = []
-        for idx, f in enumerate(self._id_facets):
+        for idx, f in enumerate(top):
             for j, ridge in enumerate(itertools.combinations(f, d)):
                 a = 2 * idx + ((d - j) & 1)  # combinations omits f[d], f[d-1], ..., f[0]
                 b = first.setdefault(ridge, a)
                 if b == a:
                     continue
+                if b < 0:
+                    ridge_ok, b = False, ~b
+                else:
+                    first[ridge] = ~b
                 ra, rb = _find(parent, a), _find(parent, b)
                 if ra == rb:
                     orientable = False
@@ -461,8 +451,13 @@ class SimplicialComplex:
                     parent[ra] = rb1
                     parent[_find(parent, a ^ 1)] = rb
                     tree.append(ridge)
-        ridges = self._ifaces(d - 1)
-        return orientable, frozenset(bisect_left(ridges, r) for r in tree)
+        report = PseudomanifoldReport(
+            dimension=d,
+            pure=len(top) == len(self._id_facets),
+            ridge_degree_two=ridge_ok and all(b < 0 for b in first.values()),
+            strongly_connected=len(tree) == len(top) - 1,
+        )
+        return report, orientable, tree
 
     # -- dunder ------------------------------------------------------------
 

@@ -49,8 +49,9 @@ single column of r: in the row of a ridge outside T the entry is 0 when
 its two facets, so signed, induce opposite orientations on it, and +-2
 when they induce the same.  So the invariant factors are f_d - 1 ones,
 plus one 2 when K is non-orientable.  One parity union-find over the
-ridges (``SimplicialComplex._ridge_forest``) gives T and the
-orientability; no matrix is built.  Other complexes are eliminated as
+ridges (``SimplicialComplex._ridge_walk``) gives T, the orientability
+and the closed-pseudomanifold report that decides the shortcut; no
+matrix is built.  Other complexes are eliminated as
 above.
 
 Cohomology over Z reduces the transposed maps bottom-up and clears with

@@ -354,6 +354,18 @@ def _relator_image(word, images, n):
     return acc
 
 
+def _fixes_every_point(seq, points):
+    # Whether applying seq[0], then seq[1], ... returns every point to
+    # itself, traced one point at a time up to the first that moves.
+    for x in points:
+        y = x
+        for p in seq:
+            y = p[y]
+        if y != x:
+            return False
+    return True
+
+
 def _partitions(n, largest):
     # Partitions of n into parts of at most `largest`, largest parts first.
     if n == 0:
@@ -392,6 +404,13 @@ def find_symmetric_quotient(
     relators first.  Returns (n, images) or None.
     The homomorphism is nontrivial when at least one image is not the
     identity.
+
+    A relator holds when its image fixes every point.  The check traces
+    one point at a time through the relator's letters, last letter
+    first, and stops at the first point that moves, so no permutation is
+    composed.  A generator's inverse image is computed only when a
+    relator being checked reads it.  ``validate_not_free_certificate``
+    re-checks a hit by composing the permutations instead.
     """
     return _quotient_search(P, max_degree, node_budget)[0]
 
@@ -400,40 +419,51 @@ def _quotient_search(P, max_degree, node_budget):
     # (hit or None, whether some degree ran out of node_budget).
     if P.ngens == 0:
         return None, False
+    # Each relator is kept reversed, with the generators whose inverse it
+    # reads, so that a point is traced through it from its last letter.
     by_max = {}
     for r in sorted((r for r in P.relators if r), key=len):
-        by_max.setdefault(max(abs(g) for g in r), []).append(r)
+        inverted = tuple(sorted({-g for g in r if g < 0}))
+        by_max.setdefault(max(abs(g) for g in r), []).append((r[::-1], inverted))
 
     for n in range(2, max_degree + 1):
         ident = tuple(range(n))
         perms = list(permutations(range(n)))
         first = _cycle_type_representatives(n)
-        images = [ident] * P.ngens
+        # letters[g] is the image of the signed letter g: generators at
+        # 1..ngens, and at the negative indices, from the end, the inverses,
+        # None until a relator being checked reads one.
+        letters = [ident] * (2 * P.ngens + 1)
         nodes = 0
 
-        def assign(i, trivial_so_far):
+        def assign(g, trivial_so_far):
             nonlocal nodes
-            if i == P.ngens:
+            if g > P.ngens:
                 return not trivial_so_far
+            checks = by_max.get(g, ())
             for p in first if trivial_so_far else perms:
                 nodes += 1
                 if nodes > node_budget:
                     return False
-                images[i] = p
-                ok = all(
-                    _relator_image(r, images, n) == ident for r in by_max.get(i + 1, ())
-                )
-                if ok and assign(i + 1, trivial_so_far and p == ident):
-                    return True
-            images[i] = ident
+                letters[g], letters[-g] = p, None
+                for word, inverted in checks:
+                    for h in inverted:
+                        if letters[-h] is None:
+                            letters[-h] = _perm_inv(letters[h])
+                    if not _fixes_every_point([letters[x] for x in word], ident):
+                        break
+                else:
+                    if assign(g + 1, trivial_so_far and p == ident):
+                        return True
+            letters[g] = letters[-g] = ident
             return False
 
-        found = assign(0, True)
+        found = assign(1, True)
         # assign refers to itself through this cell; emptying it frees perms
         # now instead of at the next full garbage collection.
         assign = None
         if found:
-            return (n, tuple(images)), False
+            return (n, tuple(letters[1 : P.ngens + 1])), False
         if nodes > node_budget:
             return None, True
     return None, False

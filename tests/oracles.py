@@ -12,10 +12,11 @@ top facets over every ridge of the face index, Tietze simplification
 that recounts every generator over every relator for each candidate
 move, a
 quotient search that tries every permutation for every generator and
-checks relators in the order given, and a small-link certificate that
-recognizes 2-spheres by rebuilding and testing every vertex link.  If these
-and the library ever disagree, one of them is wrong and the tests
-should say so loudly.
+checks relators in the order given, the library's quotient search with
+relators checked by composing permutations, and a small-link
+certificate that recognizes 2-spheres by rebuilding and testing every
+vertex link.  If these and the library ever disagree, one of them is
+wrong and the tests should say so loudly.
 """
 
 from collections import deque
@@ -31,6 +32,7 @@ from minitri.snf import smith_normal_form
 from minitri.pi1 import (
     GroupPresentation,
     _canonical_cyclic,
+    _cycle_type_representatives,
     _cyclic_reduce,
     _relator_image,
     _substitute,
@@ -312,6 +314,52 @@ def quotient_search_naive(P, max_degree, node_budget):
             return False
 
         if assign(0):
+            return (n, tuple(images)), False
+        if nodes > node_budget:
+            return None, True
+    return None, False
+
+
+def quotient_search_composing(P, max_degree, node_budget):
+    """The library's search with each relator checked by composing whole permutations.
+
+    Same order, node count and budget as ``pi1._quotient_search``: one
+    image per cycle type while every earlier generator is trivial, a
+    relator checked once its highest generator is assigned, shortest
+    first.  Only the relator check differs, so the two must agree on the
+    hit, images included, and on whether a degree ran out of budget.
+    """
+    if P.ngens == 0:
+        return None, False
+    by_max = {}
+    for r in sorted((r for r in P.relators if r), key=len):
+        by_max.setdefault(max(abs(g) for g in r), []).append(r)
+
+    for n in range(2, max_degree + 1):
+        ident = tuple(range(n))
+        perms = list(permutations(range(n)))
+        first = _cycle_type_representatives(n)
+        images = [ident] * P.ngens
+        nodes = 0
+
+        def assign(i, trivial_so_far):
+            nonlocal nodes
+            if i == P.ngens:
+                return not trivial_so_far
+            for p in first if trivial_so_far else perms:
+                nodes += 1
+                if nodes > node_budget:
+                    return False
+                images[i] = p
+                ok = all(
+                    _relator_image(r, images, n) == ident for r in by_max.get(i + 1, ())
+                )
+                if ok and assign(i + 1, trivial_so_far and p == ident):
+                    return True
+            images[i] = ident
+            return False
+
+        if assign(0, True):
             return (n, tuple(images)), False
         if nodes > node_budget:
             return None, True

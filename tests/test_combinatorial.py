@@ -302,6 +302,27 @@ def _pinched(K):
     return from_facets(facets)
 
 
+def _coned(facets, F, v):
+    # The facet F replaced by the cone from v over its boundary.
+    return [f for f in facets if f != F] + [tuple(x for x in F if x != y) + (v,) for y in F]
+
+
+def _torus_and_sphere_link():
+    """A closed 3-pseudomanifold where vertex 90 has link T^2 + S^2, with chi = 2.
+
+    In the suspension of torus_7 with apexes 90 and 91, three stellar
+    subdivisions through 91 leave the facet G = (91, 92, 93, 94), which
+    avoids the closed star of 90.  Coning G's boundary from 90 in G's
+    place adds a disjoint 2-sphere to the torus link of 90.
+    """
+    facets = list(suspension(fixtures.torus_7(), 90, 91).facets)
+    for c in (92, 93, 94):
+        F = next(f for f in facets if {91, *range(92, c)} <= set(f))
+        facets = _coned(facets, F, c)
+    G = next(f for f in facets if set(f) == {91, 92, 93, 94})
+    return from_facets(_coned(facets, G, 90))
+
+
 def _flipped(K, rng, flips):
     for _ in range(flips):
         moves = bistellar_moves(K)
@@ -386,6 +407,8 @@ def _certificate_inputs():
     yield from (rp2, suspension(rp2, 92, 93), suspension(fixtures.torus_7(), 90, 91))
     yield suspension(fixtures.cross_polytope(2), 90, 91)
     yield from (_pinched(fixtures.cross_polytope(d)) for d in (2, 3, 4))
+    # strongly connected and chi = 2 must both be tested on 2-sphere links
+    yield _torus_and_sphere_link()
     for base in (fixtures.cross_polytope(3), fixtures.cp2_9(), fixtures.cyclic_polytope(9, 4)):
         for _ in range(3):
             yield _flipped(_stellar_subdivision(base, rng), rng, rng.randint(1, 5))

@@ -22,7 +22,12 @@ from minitri.pi1 import (
     validate_not_free_certificate,
 )
 
-from oracles import quotient_search_naive, random_complex, tietze_simplify_naive
+from oracles import (
+    quotient_search_composing,
+    quotient_search_naive,
+    random_complex,
+    tietze_simplify_naive,
+)
 
 # Perfect groups and the least degree of a nontrivial permutation image.
 A5 = GroupPresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 5))
@@ -354,11 +359,11 @@ def _assert_homomorphism(P, hit):
     assert all(_relator_image(r, images, n) == ident for r in P.relators)
 
 
-def _random_presentations(count, seed, odd=False):
-    # 2 generators, 1-3 relators of length <= 8.  With odd=True only
+def _random_presentations(count, seed, odd=False, ngens=2):
+    # ngens generators, 1-3 relators of length <= 8.  With odd=True only
     # groups with no image in S_2 (finite H_1 of odd order) are kept.
     rng = random.Random(seed)
-    letters = (1, -1, 2, -2)
+    letters = tuple(x for g in range(1, ngens + 1) for x in (g, -g))
     while count:
         words = (
             _free_reduce(rng.choice(letters) for _ in range(rng.randint(1, 8)))
@@ -367,7 +372,7 @@ def _random_presentations(count, seed, odd=False):
         relators = tuple(w for w in words if w)
         if not relators:
             continue
-        P = GroupPresentation(2, relators)
+        P = GroupPresentation(ngens, relators)
         if odd:
             ab = abelianization(P)
             if ab.rank or any(t % 2 == 0 for t in ab.torsion):
@@ -407,6 +412,39 @@ def test_quotient_search_node_count():
     assert found is not None and found[0] == 7
     v = freeness_verdict(PSL27, max_degree=7, node_budget=10_000)
     assert v.certificate["degree"] == 7 and validate_not_free_certificate(v)
+
+
+def test_quotient_search_matches_composing_oracle():
+    # Tracing points through a relator, with inverses computed on demand,
+    # must leave the search exactly as it was: the same hit, images
+    # included, and the same exhaustion, at every degree and budget.
+    cases = [(P, degree) for P, degree in PERFECT]
+    # A5 with a third generator c = a b^2 a b, a word that differs from its
+    # reversal: a relator traced from the wrong end finds another image of c.
+    cases.append((GroupPresentation(3, A5.relators + ((-3, 1, 2, 2, 1, 2),)), 5))
+    cases += [(P, 6) for P in _random_presentations(12, seed=31)]
+    cases += [(P, 6) for P in _random_presentations(12, seed=32, odd=True)]
+    cases += [(P, 6) for P in _random_presentations(10, seed=33, ngens=1)]
+    # three generators: S_4^3 has 13,824 triples, S_6^3 over 10^8
+    cases += [(P, 4) for P in _random_presentations(10, seed=34, ngens=3)]
+    cases += [(P, 4) for P in _random_presentations(10, seed=35, odd=True, ngens=3)]
+    outcomes = set()
+    for P, top in cases:
+        for max_degree in range(2, top + 1):
+            for budget in (50, 500, 10**6):
+                got = _quotient_search(P, max_degree, budget)
+                assert got == quotient_search_composing(P, max_degree, budget), (P, max_degree, budget)
+                outcomes.add((got[0] is not None, got[1]))
+    assert outcomes == {(True, False), (False, True), (False, False)}
+
+
+def test_quotient_search_least_budget_for_psl27():
+    # The least node_budget at which PSL(2,7) is found at degree 7, as
+    # read off the search that composed permutations; any change to the
+    # search order or the node count moves it.
+    hit, exhausted = _quotient_search(PSL27, 7, 5235)
+    assert hit == (7, ((1, 0, 3, 2, 4, 5, 6), (0, 2, 4, 5, 1, 6, 3))) and not exhausted
+    assert _quotient_search(PSL27, 7, 5234) == (None, True)
 
 
 def test_edge_path_needs_connected_positive_dimension():
