@@ -19,17 +19,9 @@ from .errors import ComplexError, HypothesisError
 from .homology import euler_characteristic, homology
 
 
-def _label(tok: str):
-    tok = tok.strip()
-    try:
-        return int(tok)
-    except ValueError:
-        return tok
-
-
 def _label_list(text: str) -> tuple:
-    toks = [t for t in text.replace(",", " ").split() if t]
-    return tuple(_label(t) for t in toks)
+    # Tokens read as in a facet file, so "1_0" stays a string label.
+    return tuple(facetio._parse_token(t) for t in text.replace(",", " ").split())
 
 
 def _print_json(payload) -> None:

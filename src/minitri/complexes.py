@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -236,13 +235,6 @@ class SimplicialComplex:
         fs = frozenset(sids)
         return any(fs <= f for f in self._facet_sets)
 
-    def all_simplices(self, include_empty=False):
-        """Every face of the complex as a label tuple."""
-        out = [()] if include_empty else []
-        for i in range(self.dimension + 1):
-            out.extend(self.faces(i))
-        return tuple(out)
-
     # -- derived complexes -----------------------------------------------
 
     def _facets_containing(self, sids):
@@ -293,22 +285,6 @@ class SimplicialComplex:
             raise MissingSimplexError(f"{tuple(simplex)!r} is not a face")
         return _compact(self.labels, cofacets)
 
-    def open_star_support(self, vertex_set):
-        """The set of faces meeting the given vertices.
-
-        This is the combinatorial support of the union of open stars; it
-        is not a subcomplex.  Together with the faces of the full
-        subcomplex on the complementary vertices it partitions the
-        nonempty faces of the complex.
-        """
-        vids = self._vertex_ids(vertex_set)
-        out = set()
-        for i in range(self.dimension + 1):
-            for f in self._ifaces(i):
-                if any(v in vids for v in f):
-                    out.add(self._to_labels(f))
-        return out
-
     def full_subcomplex(self, vertex_set):
         """All faces whose vertices lie inside the given vertex set."""
         vids = self._vertex_ids(vertex_set)
@@ -316,45 +292,21 @@ class SimplicialComplex:
             self.labels, _antichain([tuple(v for v in f if v in vids) for f in self._id_facets])
         )
 
-    def incremental_full_subcomplex(self, vertex_set, vertex):
-        """Full subcomplex on V ∪ {v}, grown from the one on V.
-
-        Computed as K(V) ∪ v * (lk(v) ∩ K(V)) rather than by filtering
-        facets directly, so it exercises the incremental growth law; the
-        result is facet-identical to ``full_subcomplex(V ∪ {v})``.
-        """
-        vids = self._vertex_ids(vertex_set)
-        wid = self._id_of.get(vertex)
-        if wid is None:
-            raise VertexSetError(f"vertex {vertex!r} is not in the complex")
-        if wid in vids:
-            raise VertexSetError(f"vertex {vertex!r} is already in the vertex set")
-        base = self.full_subcomplex(self._to_labels(sorted(vids)))
-        # Facets of lk(v) ∩ K(V) are among the pairwise facet meets; the
-        # antichain in _from_label_facets keeps only the maximal ones.
-        base_sets = [set(g) for g in base.facets]
-        cone = [
-            (vertex, *(x for x in f if x in g))
-            for f in self.link((vertex,)).facets
-            for g in base_sets
-        ]
-        return _from_label_facets(list(base.facets) + cone, self.labels)
-
     def join(self, other):
         """Simplicial join; label sets must be disjoint.
 
-        The empty complex is the neutral element.  Facet-wise unions of
-        two antichains on disjoint vertex sets are again an antichain.
+        The empty complex is the neutral element.  ``other``'s ids are
+        shifted past ``self``'s, so each facet-wise union is sorted, and
+        the unions of two sorted antichains on disjoint id ranges, taken
+        in order, are again a sorted antichain.
         """
         overlap = set(self.labels) & set(other.labels)
         if overlap:
             raise VertexSetError(f"join operands share vertex labels: {sorted(map(repr, overlap))}")
-        facets = [
-            f + g
-            for f in self.facets
-            for g in other.facets
-        ]
-        return _from_label_facets(facets, self.labels + other.labels)
+        n = len(self.labels)
+        shifted = [tuple(v + n for v in g) for g in other._id_facets]
+        facets = [f + g for f in self._id_facets for g in shifted]
+        return _compact(self.labels + other.labels, facets)
 
     # -- global structure -------------------------------------------------
 
@@ -385,21 +337,10 @@ class SimplicialComplex:
         ``_ridge_walk``, the same ridge walk that gives the
         pseudomanifold report and homology its top boundary map.
         """
-        return self._ridge_forest()[0]
-
-    @_memoized
-    def _ridge_forest(self):
-        """``(orientable, tree)`` of a closed pseudomanifold, ``tree`` as ridge indices.
-
-        ``tree`` holds the ``_ifaces(d - 1)`` indices of the spanning-tree
-        ridges of ``_ridge_walk``.  Raises NotPseudomanifoldError on any
-        other complex.
-        """
-        report, orientable, tree = self._ridge_walk()
+        report, orientable, _ = self._ridge_walk()
         if not report.is_closed_pseudomanifold:
             raise NotPseudomanifoldError("orientability needs a closed pseudomanifold")
-        ridges = self._ifaces(self.dimension - 1)
-        return orientable, frozenset(bisect_left(ridges, r) for r in tree)
+        return orientable
 
     @_memoized
     def _ridge_walk(self):
@@ -521,14 +462,3 @@ def _compact(labels, id_facets):
         tuple(labels[v] for v in used), tuple(tuple(remap[v] for v in f) for f in facets)
     )
 
-
-def _from_label_facets(label_facets, label_order):
-    """Internal: complex from label facets, ids following ``label_order``.
-
-    Accepts the empty facet (used by complexes derived from the empty
-    complex); plain empty input yields the empty complex.
-    """
-    order = {lab: i for i, lab in enumerate(label_order)}
-    return _compact(
-        label_order, _antichain([tuple(sorted(order[lab] for lab in f)) for f in label_facets])
-    )

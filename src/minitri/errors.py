@@ -24,8 +24,8 @@ class MissingSimplexError(ComplexError):
 
 
 class VertexSetError(ComplexError):
-    """A vertex-set argument is invalid: unknown vertex, redundant
-    vertex, or overlapping vertex labels in a join."""
+    """A vertex-set argument is invalid: unknown vertex, or overlapping
+    vertex labels in a join."""
 
 
 class NotPseudomanifoldError(ComplexError):

@@ -45,12 +45,21 @@ def loads(text: str) -> SimplicialComplex:
     return from_facets(facets)
 
 
-def load(path) -> SimplicialComplex:
+def _read(path) -> str:
+    # Undecodable bytes are bad input, like any other malformed file.
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return loads(fh.read())
-        except FacetInputError as exc:
-            raise FacetInputError(f"{path}: {exc}") from None
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FacetInputError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def load(path) -> SimplicialComplex:
+    text = _read(path)
+    try:
+        return loads(text)
+    except FacetInputError as exc:
+        raise FacetInputError(f"{path}: {exc}") from None
 
 
 def dumps(complex_: SimplicialComplex) -> str:
@@ -95,5 +104,4 @@ def parse_assertions(text: str) -> dict:
 
 
 def load_assertions(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_assertions(fh.read())
+    return parse_assertions(_read(path))

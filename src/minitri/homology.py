@@ -72,6 +72,7 @@ The pruned matrices themselves are dropped once reduced.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
@@ -231,12 +232,14 @@ def _reduction(K: SimplicialComplex, i: int, transposed=False):
 def _reduce(K, i, transposed):
     # The top map of a closed pseudomanifold is read off its dual spanning
     # tree, with the tree ridges as pivot rows (see the module docstring).
-    top = not transposed and i == K.dimension >= 1
-    if top and K.is_closed_pseudomanifold().is_closed_pseudomanifold:
-        orientable, tree = K._ridge_forest()
-        f_top = len(K._ifaces(i))
-        factors = (1,) * (f_top - 1) + ((2,) if not orientable else ())
-        return SNFResult((len(K._ifaces(i - 1)), f_top), factors, tree)
+    if not transposed and i == K.dimension >= 1:
+        report, orientable, tree = K._ridge_walk()
+        if report.is_closed_pseudomanifold:
+            ridges = K._ifaces(i - 1)
+            f_top = len(K._ifaces(i))
+            factors = (1,) * (f_top - 1) + ((2,) if not orientable else ())
+            pivots = frozenset(bisect_left(ridges, r) for r in tree)
+            return SNFResult((len(ridges), f_top), factors, pivots)
     # Clearing: the unit pivot rows of the neighbouring map, reduced first,
     # index columns that the remaining columns already generate: columns
     # of d_i for homology, rows of d_i (columns of d_i^T) for cohomology.

@@ -238,8 +238,8 @@ def local_homology_check(K: SimplicialComplex, simplex) -> LinkSphereCheck:
 def local_homology_sweep(K: SimplicialComplex) -> CheckReport:
     """Run the link check at every simplex of the complex.
 
-    Simplices come in ``all_simplices`` order; each dimension's links are
-    read from one ``_links`` pass over the facets.
+    Simplices come by dimension, in ``faces`` order; each dimension's
+    links are read from one ``_links`` pass over the facets.
     """
     if not K.is_closed_pseudomanifold().is_closed_pseudomanifold:
         raise NotPseudomanifoldError("local homology needs a closed pseudomanifold")

@@ -7,12 +7,12 @@ fraction-free determinant, dense Gaussian elimination over F_p for
 mod-p ranks, homology profiles from one Smith form per whole boundary
 map (no clearing, Z_p Betti numbers from ranks mod p rather than by
 universal coefficients), antichains that test every pair of members,
-closed-pseudomanifold reports that count
-top facets over every ridge of the face index, Tietze simplification
-that recounts every generator over every relator for each candidate
-move, a
-quotient search that tries every permutation for every generator and
-checks relators in the order given, the library's quotient search with
+full subcomplexes from every face of every facet, joins from label-tuple
+products, closed-pseudomanifold reports that count top facets over
+every ridge of the face index, Tietze simplification that recounts
+every generator over every relator for each candidate move, a quotient
+search that tries every permutation for every generator and checks
+relators in the order given, the library's quotient search with
 relators checked by composing permutations, and a small-link
 certificate that recognizes 2-spheres by rebuilding and testing every
 vertex link.  If these and the library ever disagree, one of them is
@@ -377,6 +377,43 @@ def antichain_naive(id_facets):
         f for f in members
         if not any(set(f) < set(g) for g in members) and (f or len(members) == 1)
     ))
+
+
+def full_subcomplex_naive(K, vertex_set):
+    """``(labels, facets)`` of the full subcomplex: every face of K inside V, kept if maximal.
+
+    Faces are enumerated as all subsets of every facet; the labels are
+    the used ones in K's vertex order.
+    """
+    inside = set(vertex_set)
+    pos = {lab: i for i, lab in enumerate(K.vertices)}
+    faces = [
+        tuple(sorted(pos[x] for x in s))
+        for f in K.facets
+        for k in range(len(f) + 1)
+        for s in combinations(f, k)
+        if set(s) <= inside
+    ]
+    kept = antichain_naive(faces)
+    used = sorted({v for f in kept for v in f})
+    return tuple(K.vertices[v] for v in used), tuple(tuple(K.vertices[v] for v in f) for f in kept)
+
+
+def join_naive(K, L):
+    """``(labels, id facets)`` of the join from label-tuple products.
+
+    Ids follow the label order K's vertices, then L's, renumbered over
+    the labels some facet uses, as a complex built from these label
+    facets would number them.
+    """
+    order = K.vertices + L.vertices
+    pos = {lab: i for i, lab in enumerate(order)}
+    kept = antichain_naive(
+        [tuple(sorted(pos[x] for x in f + g)) for f in K.facets for g in L.facets]
+    )
+    used = sorted({v for f in kept for v in f})
+    renumber = {v: j for j, v in enumerate(used)}
+    return tuple(order[v] for v in used), tuple(tuple(renumber[v] for v in f) for f in kept)
 
 
 def pseudomanifold_report_naive(K):

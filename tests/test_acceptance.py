@@ -31,7 +31,6 @@ from minitri.snf import smith_normal_form
 from minitri.verify import alexander_duality_check, complement_homology_check
 
 from oracles import random_matrix, snf_invariant_factors_naive, suspension
-from oracles import random_complex
 
 
 def _report(name, started):
@@ -67,25 +66,6 @@ def test_snf_matches_naive_oracle_500_matrices():
         want = snf_invariant_factors_naive(M)
         assert got == want, (M, got, want)
     _report("SNF oracle equivalence (500 random matrices up to 8x8)", started)
-
-
-def test_incremental_subcomplex_law_200_instances():
-    started = time.monotonic()
-    rng = random.Random(271828)
-    done = 0
-    while done < 200:
-        K = random_complex(rng, max_vertices=8)
-        verts = list(K.vertices)
-        if len(verts) < 2:
-            continue
-        size = rng.randint(1, len(verts) - 1)
-        V = rng.sample(verts, size)
-        v = rng.choice([u for u in verts if u not in V])
-        direct = K.full_subcomplex(tuple(V) + (v,))
-        stepped = K.incremental_full_subcomplex(tuple(V), v)
-        assert direct.facets == stepped.facets, (K.facets, V, v)
-        done += 1
-    _report("incremental full-subcomplex law (200 randomized instances)", started)
 
 
 def test_complement_homology_reproduction():

@@ -204,6 +204,25 @@ def test_verify_complement_non_facet(rp2_file):
     assert main(["verify-complement", rp2_file, "--facet", "1,2"]) == 2
 
 
+def test_label_options_read_tokens_as_facet_files_do(tmp_path, capsys):
+    # "1_0" is a string label in a facet file, so --facet and --vertices
+    # must not read it as the integer 10
+    path = tmp_path / "underscore.facets"
+    path.write_text("1_0 2 3\n1_0 2 4\n1_0 3 4\n2 3 4\n")
+    assert main(["verify-complement", str(path), "--facet", "1_0,2,3"]) == 0
+    assert main(["verify-duality", str(path), "--vertices", "1_0"]) == 0
+    assert main(["verify-duality", str(path), "--vertices", "10"]) == 2
+    assert "vertex 10 is not in the complex" in capsys.readouterr().err
+
+
+def test_undecodable_files_are_input_errors(c94_file, tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"1 2 \xff\n")
+    assert main(["info", str(path)]) == 2
+    assert main(["bounds", c94_file, "--assert", str(path)]) == 2
+    assert capsys.readouterr().err.count(f"error: {path}: not UTF-8 text") == 2
+
+
 def test_verify_local(c94_file, capsys):
     assert main(["verify-local", c94_file]) == 0
 

@@ -6,8 +6,6 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from minitri.complexes import SimplicialComplex, _antichain, from_facets
 from minitri.errors import (
@@ -18,7 +16,14 @@ from minitri.errors import (
 from minitri import facetio, fixtures
 from minitri.homology import cohomology, homology
 
-from oracles import antichain_naive, is_connected_naive, pseudomanifold_report_naive, random_complex
+from oracles import (
+    antichain_naive,
+    full_subcomplex_naive,
+    is_connected_naive,
+    join_naive,
+    pseudomanifold_report_naive,
+    random_complex,
+)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -99,14 +104,6 @@ def test_has_simplex_ignores_order():
     assert not K.has_simplex((1, 99))
 
 
-def test_all_simplices_count_matches_f_vector():
-    K = fixtures.rp2_6()
-    fv = K.f_vector()
-    sims = K.all_simplices()
-    assert len(sims) == sum(fv)
-    assert len(K.all_simplices(include_empty=True)) == sum(fv) + 1
-
-
 def test_link_of_vertex_in_octahedron():
     K = fixtures.cross_polytope(2)
     v = K.vertices[0]
@@ -154,6 +151,23 @@ def test_join_homotopy_boundary():
     assert J.dimension == 3
 
 
+def test_join_matches_label_oracle():
+    rng = random.Random(5)
+    E = fixtures.rp2_6().full_subcomplex(())
+    pairs = [(E, E)]
+    for _ in range(300):
+        K = random_complex(rng)
+        L = random_complex(rng)
+        L = from_facets([tuple(f"v{x}" for x in g) for g in L.facets])
+        pairs += [(K, L), (L, K)]
+        if rng.random() < 0.2:
+            pairs += [(K, E), (E, L)]
+    for K, L in pairs:
+        J = K.join(L)
+        assert (J.labels, J._id_facets) == join_naive(K, L), (K.facets, L.facets)
+    assert sum(E in pair for pair in pairs) > 100
+
+
 def test_join_rejects_shared_labels():
     K = from_facets([(1, 2)])
     with pytest.raises(VertexSetError):
@@ -179,46 +193,24 @@ def test_full_subcomplex_is_induced():
         for s in K.faces(i):
             if set(s) <= set(V):
                 assert L.has_simplex(s)
+    # random complexes against the face-by-face oracle, V empty and V
+    # everything included
+    rng = random.Random(12021)
+    ends = []
+    for _ in range(300):
+        K = random_complex(rng)
+        verts = list(K.vertices)
+        V = rng.sample(verts, rng.choice([0, len(verts), rng.randint(0, len(verts))]))
+        L = K.full_subcomplex(V)
+        assert (L.labels, L.facets) == full_subcomplex_naive(K, V), (K.facets, V)
+        ends.append(len(V) in (0, len(verts)))
+    assert ends.count(True) > 150 and ends.count(False) > 50
 
 
 def test_full_subcomplex_bad_vertex():
     K = fixtures.rp2_6()
     with pytest.raises(VertexSetError):
         K.full_subcomplex((1, 99))
-
-
-def test_incremental_law_matches_direct():
-    # adding one vertex to an induced subcomplex, two ways
-    rng = random.Random(12021)
-    for _ in range(200):
-        K = random_complex(rng)
-        verts = list(K.vertices)
-        if len(verts) < 2:
-            continue
-        size = rng.randint(1, len(verts) - 1)
-        V = rng.sample(verts, size)
-        v = rng.choice([u for u in verts if u not in V])
-        direct = K.full_subcomplex(tuple(V) + (v,))
-        stepped = K.incremental_full_subcomplex(tuple(V), v)
-        assert direct == stepped
-        assert direct.facets == stepped.facets
-
-
-def test_open_star_support_partitions_facets():
-    # every facet either meets V or lies in the complement subcomplex
-    rng = random.Random(77)
-    for _ in range(50):
-        K = random_complex(rng)
-        verts = list(K.vertices)
-        size = rng.randint(0, len(verts))
-        V = tuple(rng.sample(verts, size))
-        inside = K.open_star_support(V)
-        rest = set(verts) - set(V)
-        for f in K.facets:
-            if set(f) & set(V):
-                assert f in inside
-            else:
-                assert set(f) <= rest
 
 
 def test_pseudomanifold_fixtures():
@@ -360,23 +352,6 @@ def test_relabeling_preserves_structure():
     lkK = K.link((1,))
     lkL = L.link((relabel[1],))
     assert lkK.f_vector() == lkL.f_vector()
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_incremental_law_property(seed):
-    rng = random.Random(seed)
-    K = random_complex(rng)
-    verts = list(K.vertices)
-    if len(verts) < 2:
-        return
-    size = rng.randint(1, len(verts) - 1)
-    V = rng.sample(verts, size)
-    v = rng.choice([u for u in verts if u not in V])
-    assert (
-        K.full_subcomplex(tuple(V) + (v,)).facets
-        == K.incremental_full_subcomplex(tuple(V), v).facets
-    )
 
 
 def test_facet_file_round_trip():
