@@ -38,9 +38,8 @@ from .snf import SNFResult, rank_mod_p, smith_normal_form
 
 _LAZY = {
     "bounds": (
-        "BoundReport", "analyze", "cat_vertex_bound", "ct_lower_bound_from_hdim",
-        "homology_sphere_verdict", "nonfree_pi1_bound", "simply_connected_bound",
-        "sphere_recognition_threshold", "wedge_covering_type",
+        "BoundReport", "analyze", "cat_vertex_bound", "homology_sphere_verdict",
+        "nonfree_pi1_bound", "simply_connected_bound", "sphere_recognition_threshold",
     ),
     "combinatorial": (
         "BistellarMove", "BistellarResult", "CombinatorialityCertificate", "LevelSummary",
@@ -56,7 +55,7 @@ _LAZY = {
     ),
     "verify": (
         "CheckReport", "GroupComparison", "LinkSphereCheck", "alexander_duality_check",
-        "complement_homology_check", "local_homology_check", "local_homology_sweep",
+        "complement_homology_check", "local_homology_sweep",
     ),
 }
 _SOURCE = {name: module for module, names in _LAZY.items() for name in names}

@@ -53,27 +53,6 @@ class BoundReport:
         }
 
 
-def wedge_covering_type(r: int, i: int) -> int:
-    """Minimal n with C(n-1, i+1) >= r: covering type of a wedge of r i-spheres."""
-    if r == 0:
-        raise HypothesisError(
-            "a rank-0 wedge is contractible; its covering type is 1 by convention"
-        )
-    if r < 0 or i < 1:
-        raise HypothesisError("wedge covering type needs r >= 1 and i >= 1")
-    n = i + 2
-    while comb(n - 1, i + 1) < r:
-        n += 1
-    return n
-
-
-def ct_lower_bound_from_hdim(k: int, homology_is_spherical: bool) -> int:
-    """Covering-type floor for a space with top nonzero homology in degree k."""
-    if k < 1:
-        raise HypothesisError("homology dimension must be at least 1")
-    return k + 2 if homology_is_spherical else k + 3
-
-
 def cat_vertex_bound(d: int, cat: int) -> int:
     """Vertex floor 1 + d + cat(cat-1)/2 from the category of the manifold."""
     if d < 1 or cat < 1:

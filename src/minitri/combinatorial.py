@@ -310,18 +310,14 @@ def _simplex_boundary_vertices(facets):
     return None
 
 
-def _flip_cofacet(K: SimplicialComplex, face):
-    """Vertices of the simplex a flip of ``face`` adds, or None if it is illegal.
+def _flip_cofacet(K: SimplicialComplex, link_facets):
+    """Labels of the simplex a flip adds at a face with these link facets, or None.
 
-    The flip is legal when lk(face) is the boundary of a simplex that is
+    The flip is legal when the link is the boundary of a simplex that is
     missing from K.  Every facet the flip adds contains that simplex, so
     none of them can already be in K.
     """
-    sids = K._simplex_ids(face)
-    s = set(sids)
-    w = _simplex_boundary_vertices(
-        [tuple(v for v in f if v not in s) for f in K._facets_containing(sids)]
-    )
+    w = _simplex_boundary_vertices(link_facets)
     if w is None:
         return None
     cofacet = K._to_labels(w)
@@ -340,11 +336,9 @@ def bistellar_moves(K: SimplicialComplex):
     for fdim in range(K.dimension):
         links = K._links(fdim)
         for s in K._ifaces(fdim):
-            w = _simplex_boundary_vertices(links[s])
-            if w is not None:
-                cofacet = K._to_labels(w)
-                if not K.has_simplex(cofacet):
-                    out.append(BistellarMove(face=K._to_labels(s), cofacet=cofacet))
+            cofacet = _flip_cofacet(K, links[s])
+            if cofacet is not None:
+                out.append(BistellarMove(face=K._to_labels(s), cofacet=cofacet))
     return out
 
 
@@ -359,7 +353,7 @@ def apply_bistellar_move(K: SimplicialComplex, move: BistellarMove) -> Simplicia
     w = set(move.cofacet)
     if not K.has_simplex(move.face):
         raise HypothesisError(f"move face {move.face!r} is not a simplex")
-    legal = _flip_cofacet(K, move.face)
+    legal = _flip_cofacet(K, K._link_facets(K._simplex_ids(move.face)))
     if legal is None or set(legal) != w:
         raise HypothesisError(
             f"link of {move.face!r} is not the boundary of a missing simplex on {move.cofacet!r}"

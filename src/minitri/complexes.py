@@ -21,7 +21,8 @@ homology profiles) is memoized on the instance.
 
 ``_links(i)`` reads the link facets of every i-face from one pass over
 the facets; the CLI's ``links``, ``verify-local``, ``bistellar_moves``
-and the small-link certificate take their links from it.
+and the small-link certificate take their links from it.  ``link`` and
+``apply_bistellar_move`` read one face's from ``_link_facets``.
 """
 
 from __future__ import annotations
@@ -82,16 +83,12 @@ def _inside(f, through):
 
 
 def _memoized(method):
-    """Memoize a zero-argument accessor of a complex on the instance."""
+    """Memoize a zero-argument accessor of a complex on the instance, through ``_memo``."""
     key = method.__qualname__
 
     @functools.wraps(method)
     def cached(self):
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = self._cache[key] = method(self)
-            return value
+        return self._memo(key, method, self)
 
     return cached
 
@@ -156,8 +153,8 @@ class SimplicialComplex:
     def _memo(self, key, fn, *args):
         """``fn(*args)``, memoized on the instance under ``key``.
 
-        Every derived value of a complex is cached here or through
-        ``_memoized``; a hit costs one dict lookup.
+        Every derived value of a complex is cached here, directly or
+        through ``_memoized``; a hit costs one dict lookup.
         """
         try:
             return self._cache[key]
@@ -237,9 +234,14 @@ class SimplicialComplex:
 
     # -- derived complexes -----------------------------------------------
 
-    def _facets_containing(self, sids):
+    def _link_facets(self, sids):
+        """The link facets F - sigma of the face ``sids``, sorted as a ``_links`` list.
+
+        Empty when sigma is not a face.
+        """
         fs = frozenset(sids)
-        return [f for f, s in zip(self._id_facets, self._facet_sets) if fs <= s]
+        facets = zip(self._id_facets, self._facet_sets)
+        return [tuple(v for v in f if v not in fs) for f, s in facets if fs <= s]
 
     def _links(self, i):
         """Every i-face mapped to its link's facets, as id tuples F - sigma.
@@ -269,21 +271,10 @@ class SimplicialComplex:
         The link of a facet is the empty complex; the link of the empty
         simplex is the complex itself.
         """
-        sids = self._simplex_ids(simplex)
-        cofacets = self._facets_containing(sids)
-        if not cofacets:
+        facets = self._link_facets(self._simplex_ids(simplex))
+        if not facets:
             raise MissingSimplexError(f"{tuple(simplex)!r} is not a face")
-        s = set(sids)
-        # a sorted antichain, for the reason given in ``_links``
-        return _compact(self.labels, [tuple(v for v in f if v not in s) for f in cofacets])
-
-    def star(self, simplex):
-        """The closed star: subcomplex generated by every facet containing sigma."""
-        sids = self._simplex_ids(simplex)
-        cofacets = self._facets_containing(sids)
-        if not cofacets:
-            raise MissingSimplexError(f"{tuple(simplex)!r} is not a face")
-        return _compact(self.labels, cofacets)
+        return _compact(self.labels, facets)
 
     def full_subcomplex(self, vertex_set):
         """All faces whose vertices lie inside the given vertex set."""
@@ -449,7 +440,7 @@ def _compact(labels, id_facets):
     """Complex on the facets ``id_facets``, ids indexing ``labels``.
 
     ``id_facets`` must be a sorted antichain of sorted id tuples, as
-    links, stars and ``_links`` lists are; other input goes through
+    links and ``_links`` lists are; other input goes through
     ``_antichain`` first.  Only the labels some facet uses are kept,
     renumbered in id order.  No facets, or only the empty one, give the
     empty complex.

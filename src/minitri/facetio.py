@@ -45,31 +45,35 @@ def loads(text: str) -> SimplicialComplex:
     return from_facets(facets)
 
 
-def _read(path) -> str:
-    # Undecodable bytes are bad input, like any other malformed file.
+def _load(path, parse):
+    # A malformed file, undecodable bytes included, is named in the error.
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return fh.read()
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise FacetInputError(f"{path}: not UTF-8 text: {exc}") from None
-
-
-def load(path) -> SimplicialComplex:
-    text = _read(path)
     try:
-        return loads(text)
+        return parse(text)
     except FacetInputError as exc:
         raise FacetInputError(f"{path}: {exc}") from None
 
 
+def load(path) -> SimplicialComplex:
+    return _load(path, loads)
+
+
 def dumps(complex_: SimplicialComplex) -> str:
-    """Serialize facets, one per line, in the complex's deterministic order."""
+    """Serialize facets, one per line, in the complex's deterministic order.
+
+    A label is written only if ``loads`` reads it back as itself: the
+    string ``'01'`` would come back as the integer 1.
+    """
     lines = []
     for facet in complex_.facets:
         parts = []
         for lab in facet:
             s = str(lab)
-            if not s or any(c.isspace() for c in s) or "#" in s:
+            if not s or any(c.isspace() for c in s) or "#" in s or _parse_token(s) != lab:
                 raise FacetInputError(f"label {lab!r} cannot be written to a facet file")
             parts.append(s)
         if not parts:
@@ -104,4 +108,4 @@ def parse_assertions(text: str) -> dict:
 
 
 def load_assertions(path) -> dict:
-    return parse_assertions(_read(path))
+    return _load(path, parse_assertions)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .combinatorial import certified_sphere
 from .complexes import SimplicialComplex, _compact
-from .errors import HypothesisError, MissingSimplexError, NotPseudomanifoldError
+from .errors import HypothesisError, NotPseudomanifoldError
 from .homology import cohomology, homology
 
 
@@ -211,32 +211,8 @@ def alexander_duality_check(S: SimplicialComplex, V) -> CheckReport:
     return CheckReport("alexander-duality", passed, tuple(entries), notes)
 
 
-def _link_sphere_check(simplex, lk: SimplicialComplex, k) -> LinkSphereCheck:
-    prof = homology(lk, reduced=True)
-    return LinkSphereCheck(
-        simplex=simplex,
-        sphere_dim=k,
-        observed=_groups_text(prof),
-        passed=prof.is_sphere(k),
-    )
-
-
-def local_homology_check(K: SimplicialComplex, simplex) -> LinkSphereCheck:
-    """Is the link of the simplex a homology sphere of complementary dimension?
-
-    For a closed pseudomanifold that triangulates a manifold this holds
-    at every simplex; a failure exhibits a non-manifold point.
-    """
-    if not K.is_closed_pseudomanifold().is_closed_pseudomanifold:
-        raise NotPseudomanifoldError("local homology needs a closed pseudomanifold")
-    if not K.has_simplex(tuple(simplex)):
-        raise MissingSimplexError(f"{tuple(simplex)!r} is not a simplex of the complex")
-    canonical = K._to_labels(K._simplex_ids(simplex))
-    return _link_sphere_check(canonical, K.link(canonical), K.dimension - len(canonical))
-
-
 def local_homology_sweep(K: SimplicialComplex) -> CheckReport:
-    """Run the link check at every simplex of the complex.
+    """Check that every simplex's link is a homology sphere of complementary dimension.
 
     Simplices come by dimension, in ``faces`` order; each dimension's
     links are read from one ``_links`` pass over the facets.
@@ -246,11 +222,13 @@ def local_homology_sweep(K: SimplicialComplex) -> CheckReport:
     d = K.dimension
     entries = []
     for i in range(d + 1):
+        k = d - i - 1
         links = K._links(i)
-        entries.extend(
-            _link_sphere_check(K._to_labels(s), _compact(K.labels, links[s]), d - i - 1)
-            for s in K._ifaces(i)
-        )
+        for s in K._ifaces(i):
+            prof = homology(_compact(K.labels, links[s]), reduced=True)
+            entries.append(
+                LinkSphereCheck(K._to_labels(s), k, _groups_text(prof), prof.is_sphere(k))
+            )
     passed = all(e.passed for e in entries)
     failures = sum(1 for e in entries if not e.passed)
     notes = (f"{len(entries)} simplices checked, {failures} failures",)

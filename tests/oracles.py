@@ -7,7 +7,8 @@ fraction-free determinant, dense Gaussian elimination over F_p for
 mod-p ranks, homology profiles from one Smith form per whole boundary
 map (no clearing, Z_p Betti numbers from ranks mod p rather than by
 universal coefficients), antichains that test every pair of members,
-full subcomplexes from every face of every facet, joins from label-tuple
+full subcomplexes from every face of every facet, links and bistellar
+flips from the definitions over every face, joins from label-tuple
 products, closed-pseudomanifold reports that count top facets over
 every ridge of the face index, Tietze simplification that recounts
 every generator over every relator for each candidate move, a quotient
@@ -414,6 +415,49 @@ def join_naive(K, L):
     used = sorted({v for f in kept for v in f})
     renumber = {v: j for j, v in enumerate(used)}
     return tuple(order[v] for v in used), tuple(tuple(renumber[v] for v in f) for f in kept)
+
+
+def _label_faces(K):
+    # Every face of K, the empty one included, as a frozenset of labels.
+    return {frozenset(t) for f in K.facets for k in range(len(f) + 1) for t in combinations(f, k)}
+
+
+def link_naive(K, simplex, faces=None):
+    """Facets of lk(sigma) as frozensets of labels, None when sigma is not a face.
+
+    From the definition: every face tau of K disjoint from sigma whose
+    union with sigma is a face, kept when no one vertex more keeps it one.
+    """
+    faces = _label_faces(K) if faces is None else faces
+    s = frozenset(simplex)
+    if s not in faces:
+        return None
+    taus = {t for t in faces if not t & s and t | s in faces}
+    return {t for t in taus if not any(t | {v} in taus for v in K.vertices if v not in t)}
+
+
+def bistellar_moves_naive(K):
+    """``(face, cofacet)`` label tuples of every legal flip, by face dimension then id.
+
+    A nonempty face of dimension below dim K flips when its link is the
+    boundary of a simplex W that is not a face: the link's facets are
+    exactly W minus one vertex.
+    """
+    pos = {v: i for i, v in enumerate(K.vertices)}
+
+    def ordered(vs):
+        return tuple(sorted(vs, key=pos.get))
+
+    faces = _label_faces(K)
+    moves = []
+    for face in sorted(faces, key=lambda f: (len(f), sorted(map(pos.get, f)))):
+        if not 0 < len(face) <= K.dimension:
+            continue
+        lk = link_naive(K, face, faces)
+        w = frozenset().union(*lk)
+        if w not in faces and lk == {w - {v} for v in w}:
+            moves.append((ordered(face), ordered(w)))
+    return moves
 
 
 def pseudomanifold_report_naive(K):

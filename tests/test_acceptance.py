@@ -7,7 +7,6 @@ CI noise but tight enough to catch algorithmic regressions.
 
 import random
 import time
-from math import comb
 
 from minitri import fixtures
 from minitri.bounds import (
@@ -16,7 +15,6 @@ from minitri.bounds import (
     nonfree_pi1_bound,
     simply_connected_bound,
     sphere_recognition_threshold,
-    wedge_covering_type,
 )
 from minitri.combinatorial import small_link_certificate
 from minitri.homology import homology
@@ -116,16 +114,8 @@ def test_bound_formula_reproduction():
     r = simply_connected_bound(4, 2, 1)
     assert r.bound == 9 and "adams-adjusted" not in r.flags
     assert sphere_recognition_threshold(4) == 8
-    assert wedge_covering_type(3, 1) == 4
-    assert wedge_covering_type(4, 1) == 5
-    # binomial search against the raw inequality, exhaustively for small inputs
-    for r_ in range(1, 30):
-        for i in range(1, 4):
-            n = wedge_covering_type(r_, i)
-            assert comb(n - 1, i + 1) >= r_
-            assert n == i + 2 or comb(n - 2, i + 1) < r_
     assert cat_vertex_bound(3, 4) == 10 == nonfree_pi1_bound(3).bound
-    _report("bound formulas (non-free 3d+1, middle-degree, threshold, wedges, category)", started)
+    _report("bound formulas (non-free 3d+1, middle-degree, threshold, category)", started)
 
 
 def test_contrapositive_pipeline_under_ten_seconds():

@@ -1,56 +1,17 @@
-from math import comb
-
 import pytest
 
 from minitri import fixtures
 from minitri.bounds import (
     analyze,
     cat_vertex_bound,
-    ct_lower_bound_from_hdim,
     homology_sphere_verdict,
     nonfree_pi1_bound,
     simply_connected_bound,
     sphere_recognition_threshold,
-    wedge_covering_type,
 )
 from minitri.errors import HypothesisError, NotPseudomanifoldError
 
 from oracles import suspension
-
-
-def test_wedge_covering_type_values():
-    # wedge of three circles fits on four vertices, wedge of four needs five
-    assert wedge_covering_type(3, 1) == 4
-    assert wedge_covering_type(4, 1) == 5
-    assert wedge_covering_type(1, 1) == 3
-    assert wedge_covering_type(1, 2) == 4
-    assert wedge_covering_type(1, 3) == 5
-
-
-def test_wedge_covering_type_is_minimal():
-    # cross-check against the defining inequality directly
-    for r in range(1, 40):
-        for i in range(1, 5):
-            n = wedge_covering_type(r, i)
-            assert comb(n - 1, i + 1) >= r
-            assert n == i + 2 or comb(n - 2, i + 1) < r
-
-
-def test_wedge_covering_type_hypotheses():
-    with pytest.raises(HypothesisError, match="covering type is 1"):
-        wedge_covering_type(0, 1)
-    with pytest.raises(HypothesisError):
-        wedge_covering_type(-1, 1)
-    with pytest.raises(HypothesisError):
-        wedge_covering_type(2, 0)
-
-
-def test_ct_lower_bound_from_hdim():
-    assert ct_lower_bound_from_hdim(3, True) == 5
-    assert ct_lower_bound_from_hdim(3, False) == 6
-    assert ct_lower_bound_from_hdim(1, True) == 3
-    with pytest.raises(HypothesisError):
-        ct_lower_bound_from_hdim(0, True)
 
 
 def test_cat_vertex_bound():

@@ -140,6 +140,32 @@ def test_bounds_assert_file_typo(c94_file, tmp_path, capsys, line):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_bounds_assert_file_errors_name_the_file(c94_file, tmp_path, capsys):
+    afile = tmp_path / "typo.txt"
+    afile.write_text("just-a-word\n")
+    assert main(["bounds", c94_file, "--assert", str(afile)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {afile}: line 1: expected key=value")
+
+
+def test_bounds_no_certify_flags_instead_of_certifying(c94_file, capsys, monkeypatch):
+    from minitri.bounds import analyze
+
+    certified = json.loads(json.dumps([r.as_dict() for r in analyze(facetio.load(c94_file))]))
+
+    def refuse(K):
+        raise AssertionError("--no-certify ran the certificate")
+
+    monkeypatch.setattr("minitri.bounds.small_link_certificate", refuse)
+    assert main(["bounds", c94_file, "--no-certify", "--json"]) == 0
+    unchecked = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["rule"] for r in unchecked] == [r["rule"] for r in certified]
+    # each report the certificate supported is flagged unchecked instead; nothing else moves
+    swap = {"manifold-hypothesis-supported": "manifold-hypothesis-unchecked"}
+    for got, want in zip(unchecked, certified):
+        assert got == {**want, "flags": [swap.get(f, f) for f in want["flags"]]}
+    assert sum("manifold-hypothesis-unchecked" in r["flags"] for r in unchecked) == 3
+
+
 def test_check_combinatorial_certified(c94_file, capsys):
     assert main(["check-combinatorial", c94_file]) == 0
     assert "CERTIFIED" in capsys.readouterr().out

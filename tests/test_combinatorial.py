@@ -22,6 +22,7 @@ from minitri.homology import homology
 from minitri.pi1 import edge_path_presentation, freeness_verdict, validate_not_free_certificate
 
 from oracles import (
+    bistellar_moves_naive,
     random_complex,
     recognize_2sphere_naive,
     recognize_circle_naive,
@@ -224,6 +225,30 @@ def test_moves_preserve_homology_along_random_walk():
             break
         K = apply_bistellar_move(K, rng.choice(list(moves)))
         assert homology(K).as_dict() == want
+
+
+def _flip_pairs(K):
+    return [(m.face, m.cofacet) for m in bistellar_moves(K)]
+
+
+def test_bistellar_moves_match_naive_oracle():
+    for K in (
+        fixtures.boundary_simplex(3),
+        fixtures.cross_polytope(2),
+        fixtures.cross_polytope(3),
+        fixtures.torus_7(),
+        fixtures.rp2_6(),
+        fixtures.cp2_9(),
+        fixtures.cyclic_polytope(9, 4),
+    ):
+        assert _flip_pairs(K) == bistellar_moves_naive(K), K
+    # along a seeded walk, after one stellar subdivision so that vertices can go
+    rng = random.Random(11)
+    K = _stellar_subdivision(fixtures.cyclic_polytope(9, 4), rng)
+    for _ in range(25):
+        moves = bistellar_moves(K)
+        assert _flip_pairs(K) == bistellar_moves_naive(K), K.facets
+        K = apply_bistellar_move(K, rng.choice(moves))
 
 
 def _stellar_subdivision(K, rng):

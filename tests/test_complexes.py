@@ -21,6 +21,7 @@ from oracles import (
     full_subcomplex_naive,
     is_connected_naive,
     join_naive,
+    link_naive,
     pseudomanifold_report_naive,
     random_complex,
 )
@@ -125,13 +126,26 @@ def test_link_of_empty_simplex_is_whole_complex():
     assert K.link(()) == K
 
 
+def test_link_matches_naive_oracle():
+    # every face, the empty simplex and the facets included, plus one non-face
+    rng = random.Random(53)
+    for _ in range(200):
+        K = random_complex(rng)
+        faces = [s for i in range(-1, K.dimension + 1) for s in K.faces(i)]
+        for s in faces:
+            assert {frozenset(f) for f in K.link(s).facets} == link_naive(K, s), (K.facets, s)
+        absent = tuple(rng.sample(K.vertices, rng.randint(1, K.n_vertices)))
+        if link_naive(K, absent) is None:
+            with pytest.raises(MissingSimplexError):
+                K.link(absent)
+
+
 def test_star_contains_link_join_simplex():
+    # the closed star sigma * lk(sigma) lies in K
     K = fixtures.cross_polytope(3)  # 3-sphere, 16 facets
     s = K.faces(1)[0]
-    star = K.star(s)
-    lk = K.link(s)
-    for f in lk.facets:
-        assert star.has_simplex(tuple(s) + f)
+    for f in K.link(s).facets:
+        assert K.has_simplex(tuple(s) + f)
 
 
 def test_join_with_point_is_cone():
@@ -355,8 +369,24 @@ def test_relabeling_preserves_structure():
 
 
 def test_facet_file_round_trip():
-    for K in (fixtures.rp2_6(), fixtures.cyclic_polytope(7, 4), fixtures.cross_polytope(2)):
+    for K in (
+        fixtures.rp2_6(),
+        fixtures.cyclic_polytope(7, 4),
+        fixtures.cross_polytope(2),
+        from_facets([("a", "1_0", -3), ("a", "1_0", "+x")]),
+    ):
         assert facetio.loads(facetio.dumps(K)) == K
+
+
+def test_dumps_refuses_labels_that_read_back_differently():
+    # "01" reads back as the integer 1; 1 and "1" would collide on one token
+    for K in (
+        from_facets([("01", "2", "x"), ("01", "2", "y")]),
+        from_facets([(1, 2, 3), ("1", 2, 4)]),
+        from_facets([("+5", 6)]),
+    ):
+        with pytest.raises(FacetInputError, match="cannot be written"):
+            facetio.dumps(K)
 
 
 def test_facet_file_line_numbers():

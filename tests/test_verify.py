@@ -4,15 +4,10 @@ import pytest
 
 from minitri import fixtures
 from minitri.complexes import from_facets
-from minitri.errors import (
-    HypothesisError,
-    MissingSimplexError,
-    NotPseudomanifoldError,
-)
+from minitri.errors import HypothesisError, NotPseudomanifoldError
 from minitri.verify import (
     alexander_duality_check,
     complement_homology_check,
-    local_homology_check,
     local_homology_sweep,
 )
 
@@ -119,25 +114,6 @@ def test_duality_rejects_foreign_vertices():
     K = fixtures.cross_polytope(2)
     with pytest.raises(Exception):
         alexander_duality_check(K, (999,))
-
-
-def test_local_homology_check_vertex():
-    K = fixtures.cp2_9()
-    chk = local_homology_check(K, (K.vertices[0],))
-    assert chk.passed and chk.sphere_dim == 3
-
-
-def test_local_homology_check_missing_simplex():
-    K = fixtures.rp2_6()
-    absent = next(
-        (a, b, c)
-        for a in K.vertices for b in K.vertices for c in K.vertices
-        if a < b < c and not K.has_simplex((a, b, c))
-    )
-    with pytest.raises(MissingSimplexError):
-        local_homology_check(K, absent)
-    with pytest.raises(MissingSimplexError):
-        local_homology_check(K, (1, 99))
 
 
 def test_local_homology_sweep_fixtures():
