@@ -14,31 +14,29 @@ not a lower bound, so it is never flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from math import comb
-from typing import Optional
 
 from .combinatorial import small_link_certificate
 from .complexes import SimplicialComplex
-from .errors import HypothesisError, NotPseudomanifoldError
+from .errors import HypothesisError, NotPseudomanifoldError, _Fresh, _record
 from .homology import homology, is_homology_sphere, parse_coeff
 from .pi1 import edge_path_presentation, freeness_verdict
 
 ADAMS_DIMENSIONS = (2, 4, 8, 16)
 
 
-@dataclass(frozen=True)
+@_record
 class BoundReport:
     """One evaluated rule: the bound, its hypotheses, and how they were met."""
 
     rule: str
     verdict: str
-    bound: Optional[int]
-    dimension: Optional[int]
+    bound: int | None
+    dimension: int | None
     hypotheses: dict
     applicable: bool
     flags: tuple = ()
-    details: dict = field(default_factory=dict)
+    details: dict = _Fresh(dict)
 
     def as_dict(self):
         return {
@@ -411,7 +409,7 @@ def analyze(
             if betti >= 1:
                 r = simply_connected_bound(d, i_min, betti)
                 dependent.append(
-                    replace(r, hypotheses={**r.hypotheses, "simply_connected": simply_connected})
+                    r._replace(hypotheses={**r.hypotheses, "simply_connected": simply_connected})
                 )
             else:
                 dependent.append(
@@ -467,5 +465,5 @@ def analyze(
         flags = r.flags + (manifold_flag,)
         if r.rule != "homology-sphere-recognition" and r.bound is not None and r.bound > n:
             flags += ("contradiction: bound exceeds vertex count, a hypothesis must fail",)
-        reports.append(replace(r, flags=flags))
+        reports.append(r._replace(flags=flags))
     return reports

@@ -33,11 +33,9 @@ manifold triangulation (REJECTED).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
 
 from .complexes import SimplicialComplex, _compact, _find, _memoized, from_facets
-from .errors import DimensionError, HypothesisError, NotPseudomanifoldError
+from .errors import DimensionError, HypothesisError, NotPseudomanifoldError, _record
 from .homology import homology
 
 
@@ -113,14 +111,14 @@ def _closed_2sphere(triangles, n_vertices):
     return components == 1
 
 
-@dataclass(frozen=True)
+@_record
 class LevelSummary:
     """One codimension level of the certificate sweep."""
 
     sphere_dim: int
     simplices_checked: int
     max_link_vertices: int
-    allowed_vertices: Optional[int]
+    allowed_vertices: int | None
     size_violations: int
     rejections: int
     method: str
@@ -137,13 +135,13 @@ class LevelSummary:
         }
 
 
-@dataclass(frozen=True)
+@_record
 class CombinatorialityCertificate:
     verdict: str  # CERTIFIED | INCONCLUSIVE | REJECTED
     dimension: int
     levels: tuple
-    witness: Optional[tuple]
-    witness_reason: Optional[str]
+    witness: tuple | None
+    witness_reason: str | None
     pl_sphere: bool
 
     def as_dict(self):
@@ -269,7 +267,7 @@ def certified_sphere(K: SimplicialComplex) -> bool:
 # -- bistellar flips -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class BistellarMove:
     """Replace face * boundary(cofacet) by boundary(face) * cofacet."""
 
@@ -280,7 +278,7 @@ class BistellarMove:
         return {"face": list(self.face), "cofacet": list(self.cofacet)}
 
 
-@dataclass(frozen=True)
+@_record
 class BistellarResult:
     success: bool
     moves: tuple
@@ -320,8 +318,10 @@ def _flip_cofacet(K: SimplicialComplex, link_facets):
     w = _simplex_boundary_vertices(link_facets)
     if w is None:
         return None
-    cofacet = K._to_labels(w)
-    return None if K.has_simplex(cofacet) else cofacet
+    ws = frozenset(w)
+    if any(ws <= f for f in K._facet_sets):
+        return None
+    return K._to_labels(w)
 
 
 def bistellar_moves(K: SimplicialComplex):

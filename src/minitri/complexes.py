@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .errors import (
     DimensionError,
@@ -38,6 +37,7 @@ from .errors import (
     MissingSimplexError,
     NotPseudomanifoldError,
     VertexSetError,
+    _record,
 )
 
 # Public simplices are tuples of vertex labels.
@@ -104,7 +104,7 @@ def _faces(id_facets, i):
     return tuple(sorted(seen))
 
 
-@dataclass(frozen=True)
+@_record
 class PseudomanifoldReport:
     """Outcome of the closed-pseudomanifold check, one flag per condition."""
 

@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
 from .errors import (
@@ -82,6 +81,7 @@ from .errors import (
     DimensionError,
     HypothesisError,
     NotPseudomanifoldError,
+    _record,
 )
 from .snf import SNFResult, SparseMatrix, is_prime, smith_normal_form
 
@@ -102,7 +102,7 @@ def parse_coeff(coeff) -> tuple:
     raise CoefficientError(f"unknown coefficient ring {coeff!r}; use 'Z' or 'Zp' with p prime")
 
 
-@dataclass(frozen=True)
+@_record
 class HomologyProfile:
     """Betti numbers and torsion per dimension, for one coefficient ring.
 
@@ -167,7 +167,7 @@ class HomologyProfile:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
+@_record
 class BoundaryMatrix:
     """Boundary map from i-chains to (i-1)-chains with its face indexing."""
 

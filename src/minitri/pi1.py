@@ -11,14 +11,11 @@ or an explicit homomorphism onto a nontrivial permutation group).
 from __future__ import annotations
 
 import random
-import string
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional
 
 from .complexes import SimplicialComplex
-from .errors import ConnectivityError, DimensionError, HypothesisError
+from .errors import ConnectivityError, DimensionError, HypothesisError, _record
 from .snf import SparseMatrix, smith_normal_form
 
 
@@ -42,7 +39,7 @@ def _cyclic_reduce(word):
 def _gen_name(i):
     # 1-based generator index to a short name: a..z, then g27, g28, ...
     if i <= 26:
-        return string.ascii_lowercase[i - 1]
+        return "abcdefghijklmnopqrstuvwxyz"[i - 1]
     return f"g{i}"
 
 
@@ -63,7 +60,7 @@ def _word_text(word):
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
+@_record
 class GroupPresentation:
     """Finite presentation with relators as tuples of signed 1-based indices."""
 
@@ -296,7 +293,7 @@ def tietze_simplify(P: GroupPresentation, effort_budget: int = 10000) -> GroupPr
     return GroupPresentation(ngens=len(number), relators=tuple(sorted(relators)))
 
 
-@dataclass(frozen=True)
+@_record
 class AbelianInvariants:
     """H_1-style invariants of a presented group: free rank plus torsion."""
 
@@ -469,14 +466,14 @@ def _quotient_search(P, max_degree, node_budget):
     return None, False
 
 
-@dataclass(frozen=True)
+@_record
 class FreenessVerdict:
     status: str  # FREE | NOT_FREE | UNKNOWN
-    rank: Optional[int]
+    rank: int | None
     # NOT_FREE: the certificate kind.  UNKNOWN: budget-exhausted:tietze,
     # budget-exhausted:quotient-search or no-certificate-found.
-    reason: Optional[str]
-    certificate: Optional[dict]
+    reason: str | None
+    certificate: dict | None
     presentation: GroupPresentation
 
     def as_dict(self):

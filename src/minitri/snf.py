@@ -23,14 +23,13 @@ divide (see ``rank_mod_p``), so no elimination runs modulo p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .errors import CoefficientError, HypothesisError
+from .errors import CoefficientError, HypothesisError, _record
 
 
-@dataclass(frozen=True)
+@_record
 class SNFResult:
     """Invariant factors of an integer matrix.
 
@@ -47,7 +46,8 @@ class SNFResult:
 
     shape: tuple
     invariant_factors: tuple
-    pivot_rows: frozenset = field(default=frozenset(), compare=False)
+    pivot_rows: frozenset = frozenset()
+    _uncompared = ("pivot_rows",)
 
     @property
     def rank(self) -> int:

@@ -9,15 +9,13 @@ torsion coefficients); no maps are constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .combinatorial import certified_sphere
 from .complexes import SimplicialComplex, _compact
-from .errors import HypothesisError, NotPseudomanifoldError
+from .errors import HypothesisError, NotPseudomanifoldError, _record
 from .homology import cohomology, homology
 
 
-@dataclass(frozen=True)
+@_record
 class GroupComparison:
     """One compared degree: left/right group descriptions and the outcome.
 
@@ -47,7 +45,7 @@ class GroupComparison:
         }
 
 
-@dataclass(frozen=True)
+@_record
 class LinkSphereCheck:
     simplex: tuple
     sphere_dim: int
@@ -63,12 +61,12 @@ class LinkSphereCheck:
         }
 
 
-@dataclass(frozen=True)
+@_record
 class CheckReport:
     name: str
     passed: bool
     entries: tuple
-    notes: tuple = field(default=())
+    notes: tuple = ()
 
     def as_dict(self):
         return {

@@ -329,6 +329,34 @@ def test_cli_import_leaves_numpy_out(rp2_file):
     assert proc.returncode == 0, proc.stderr
 
 
+# Run as ``python -m minitri.cli`` does, but note the modules loaded before
+# the package, so what a site hook of the host loads is not counted.
+_GUARD = textwrap.dedent("""
+    import runpy
+    import sys
+
+    before = set(sys.modules)
+    try:
+        runpy.run_module("minitri.cli", run_name="__main__", alter_sys=True)
+    finally:
+        added = sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))
+        print("start-up guard:", *added, file=sys.stderr)
+""")
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "rp2", "--json"] for command in (*_FILE_COMMANDS, "verify-duality")),
+    ["fixture", "rp2_6", "out"],
+    ["fixture", "list"],
+], ids="-".join)
+def test_subcommands_skip_dataclasses_and_inspect(argv, rp2_file, tmp_path):
+    argv = [{"rp2": rp2_file, "out": str(tmp_path / "out.facets")}.get(arg, arg) for arg in argv]
+    code = main(argv)
+    proc = _fresh_python("-c", _GUARD, *argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "start-up guard:", proc.stderr
+
+
 def test_package_surface_in_fresh_interpreter():
     script = textwrap.dedent("""
         import ast

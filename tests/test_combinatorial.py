@@ -163,7 +163,10 @@ def test_apply_move_rejects_stale_move():
     K = fixtures.cross_polytope(2)
     mv = bistellar_moves(K)[0]
     T = fixtures.torus_7()
+    S = fixtures.boundary_simplex(3)
     cases = [
+        # lk(1) is the boundary of the tetrahedron 0 2 3 4, a facet of S
+        (S, BistellarMove(face=(1,), cofacet=(0, 2, 3, 4))),
         (apply_bistellar_move(K, mv), mv),
         # a fresh vertex: lk(facet) is empty, not the boundary of a simplex
         (T, BistellarMove(face=T.facets[0], cofacet=(99,))),
