@@ -171,24 +171,14 @@ def homology_sphere_verdict(K: SimplicialComplex, coeff: str = "Z") -> BoundRepo
         raise NotPseudomanifoldError("sphere recognition needs a closed pseudomanifold")
     d = K.dimension
     n = K.n_vertices
-    sphere = is_homology_sphere(K, d, coeff=coeff)
-    hyp = {"d": d, "vertices": n, "coefficients": coeff}
+    sphere = is_homology_sphere(K, coeff=coeff)
     if d <= 2:
-        verdict = "PL-sphere" if sphere else f"no verdict: not a homology sphere over {coeff}"
-        return BoundReport(
-            rule="homology-sphere-recognition",
-            verdict=verdict,
-            bound=None,
-            dimension=d,
-            hypotheses=hyp,
-            applicable=True,
-            flags=("low-dimension-direct",),
-            details={"vertex_budget": None, "homology_sphere": sphere},
-        )
-    budget = 3 * d if parse_coeff(coeff)[1] is None else 3 * d - 1
+        budget = None
+    else:
+        budget = 3 * d if parse_coeff(coeff)[1] is None else 3 * d - 1
     if not sphere:
         verdict = f"no verdict: not a homology sphere over {coeff}"
-    elif n <= budget:
+    elif budget is None or n <= budget:
         verdict = "PL-sphere"
     else:
         verdict = f"no verdict: {n} vertices exceed the budget {budget}"
@@ -197,9 +187,9 @@ def homology_sphere_verdict(K: SimplicialComplex, coeff: str = "Z") -> BoundRepo
         verdict=verdict,
         bound=budget,
         dimension=d,
-        hypotheses=hyp,
+        hypotheses={"d": d, "vertices": n, "coefficients": coeff},
         applicable=True,
-        flags=(),
+        flags=("low-dimension-direct",) if budget is None else (),
         details={"vertex_budget": budget, "homology_sphere": sphere},
     )
 

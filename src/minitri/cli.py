@@ -5,6 +5,12 @@ meant for scripting over triangulation corpora: 0 success, 1 when a
 check or certificate came back negative, 2 for input errors (bad facet
 file, unknown fixture, unmet hypothesis).  Human-readable tables by
 default, ``--json`` for machines.
+
+Each facet-file handler takes the loaded complex and the parsed
+arguments and returns ``(code, payload, lines)``: the exit code, the
+JSON object without its ``file`` key, and the table's lines.  ``main``
+loads the file and prints one or the other, so the exit code cannot
+depend on ``--json``.
 """
 
 from __future__ import annotations
@@ -24,17 +30,11 @@ def _label_list(text: str) -> tuple:
     return tuple(facetio._parse_token(t) for t in text.replace(",", " ").split())
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _cmd_info(args) -> int:
-    K = facetio.load(args.file)
+def _cmd_info(K, args):
     # The pseudomanifold report needs dimension >= 1; S^0 still gets its f-vector.
     pm = K.is_closed_pseudomanifold() if K.dimension >= 1 else None
     closed = pm is not None and pm.is_closed_pseudomanifold
     payload = {
-        "file": args.file,
         "dimension": K.dimension,
         "vertices": K.n_vertices,
         "facets": len(K.facets),
@@ -43,46 +43,38 @@ def _cmd_info(args) -> int:
         "connected": K.is_connected(),
         "pseudomanifold": None if pm is None else pm.as_dict(),
     }
+    lines = [
+        f"dimension            {K.dimension}",
+        f"vertices             {K.n_vertices}",
+        f"facets               {len(K.facets)}",
+        f"f-vector             {tuple(payload['f_vector'])}",
+        f"euler characteristic {payload['euler_characteristic']}",
+        f"connected            {payload['connected']}",
+        f"closed pseudomanifold {'n/a' if pm is None else closed}",
+    ]
     if closed:
         payload["orientable"] = K.is_orientable()
-    if args.json:
-        _print_json(payload)
-        return 0
-    print(f"dimension            {K.dimension}")
-    print(f"vertices             {K.n_vertices}")
-    print(f"facets               {len(K.facets)}")
-    print(f"f-vector             {tuple(K.f_vector())}")
-    print(f"euler characteristic {payload['euler_characteristic']}")
-    print(f"connected            {K.is_connected()}")
-    print(f"closed pseudomanifold {'n/a' if pm is None else closed}")
-    if closed:
-        print(f"orientable           {payload['orientable']}")
+        lines.append(f"orientable           {payload['orientable']}")
     elif pm is not None:
         if not pm.pure:
-            print("  not pure")
+            lines.append("  not pure")
         if not pm.ridge_degree_two:
-            print("  some ridge is not in exactly two facets")
+            lines.append("  some ridge is not in exactly two facets")
         if not pm.strongly_connected:
-            print("  facet-adjacency graph disconnected")
-    return 0
+            lines.append("  facet-adjacency graph disconnected")
+    return 0, payload, lines
 
 
-def _cmd_homology(args) -> int:
-    K = facetio.load(args.file)
+def _cmd_homology(K, args):
     prof = homology(K, coeff=args.coeff, reduced=args.reduced)
-    if args.json:
-        _print_json({"file": args.file, "homology": prof.as_dict()})
-        return 0
     kind = "reduced homology" if args.reduced else "homology"
-    print(f"{kind} over {prof.coeff}")
     low = -1 if args.reduced else 0
-    for i in range(low, K.dimension + 1):
-        print(f"  H{i} = {prof.describe(i)}")
-    return 0
+    lines = [f"{kind} over {prof.coeff}"]
+    lines += [f"  H{i} = {prof.describe(i)}" for i in range(low, K.dimension + 1)]
+    return 0, {"homology": prof.as_dict()}, lines
 
 
-def _cmd_links(args) -> int:
-    K = facetio.load(args.file)
+def _cmd_links(K, args):
     d = K.dimension
     rows = []
     links = K._links(0)
@@ -98,55 +90,48 @@ def _cmd_links(args) -> int:
                 "homology_sphere": prof.is_sphere(d - 1),
             }
         )
-    if args.json:
-        _print_json({"file": args.file, "dimension": d, "links": rows})
-        return 0
-    print(f"vertex links of a {d}-dimensional complex")
-    print(f"{'vertex':>10}  {'dim':>4}  {'vertices':>8}  {'facets':>6}  sphere-homology")
-    for r in rows:
-        print(
-            f"{str(r['vertex']):>10}  {r['link_dimension']:>4}  "
-            f"{r['link_vertices']:>8}  {r['link_facets']:>6}  {r['homology_sphere']}"
-        )
-    return 0
+    lines = [
+        f"vertex links of a {d}-dimensional complex",
+        f"{'vertex':>10}  {'dim':>4}  {'vertices':>8}  {'facets':>6}  sphere-homology",
+    ]
+    lines += [
+        f"{str(r['vertex']):>10}  {r['link_dimension']:>4}  "
+        f"{r['link_vertices']:>8}  {r['link_facets']:>6}  {r['homology_sphere']}"
+        for r in rows
+    ]
+    return 0, {"dimension": d, "links": rows}, lines
 
 
-def _cmd_pi1(args) -> int:
+def _cmd_pi1(K, args):
     import random
 
     from .pi1 import abelianization, edge_path_presentation, freeness_verdict
-    K = facetio.load(args.file)
     rng = random.Random(args.seed) if args.seed is not None else None
     P = edge_path_presentation(K, rng=rng)
     verdict = freeness_verdict(P)
     Q = verdict.presentation
     ab = abelianization(Q)
     payload = {
-        "file": args.file,
         "raw": {"generators": P.ngens, "relators": len(P.relators)},
         "simplified": Q.as_dict(),
         "presentation": str(Q),
         "abelianization": ab.as_dict(),
         "verdict": verdict.as_dict(),
     }
-    if args.json:
-        _print_json(payload)
-        return 0
-    print(f"edge-path presentation: {P.ngens} generators, {len(P.relators)} relators")
-    print(f"simplified:            {Q}")
-    print(f"abelianization:        {ab.describe()}")
-    line = f"verdict:               {verdict.status}"
-    if verdict.status == "FREE":
-        line += f" (rank {verdict.rank})"
-    print(line)
+    rank = f" (rank {verdict.rank})" if verdict.status == "FREE" else ""
+    lines = [
+        f"edge-path presentation: {P.ngens} generators, {len(P.relators)} relators",
+        f"simplified:            {payload['presentation']}",
+        f"abelianization:        {ab.describe()}",
+        f"verdict:               {verdict.status}{rank}",
+    ]
     if verdict.reason:
-        print(f"reason:                {verdict.reason}")
-    return 0
+        lines.append(f"reason:                {verdict.reason}")
+    return 0, payload, lines
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(K, args):
     from .bounds import analyze
-    K = facetio.load(args.file)
     assertions = facetio.load_assertions(args.assert_file) if args.assert_file else None
     reports = analyze(K, assertions=assertions, certify=not args.no_certify)
     negative = any(
@@ -154,45 +139,36 @@ def _cmd_bounds(args) -> int:
         or any(f.startswith("contradiction") for f in r.flags)
         for r in reports
     )
-    if args.json:
-        _print_json({"file": args.file, "reports": [r.as_dict() for r in reports]})
-        return 1 if negative else 0
-    print(f"{'rule':34s} {'bound':>5}  verdict")
+    lines = [f"{'rule':34s} {'bound':>5}  verdict"]
     for r in reports:
         bound = "-" if r.bound is None else str(r.bound)
         mark = "" if r.applicable else "  [inapplicable]"
-        print(f"{r.rule:34s} {bound:>5}  {r.verdict}{mark}")
-        for f in r.flags:
-            print(f"{'':34s} {'':>5}  * {f}")
-    return 1 if negative else 0
+        lines.append(f"{r.rule:34s} {bound:>5}  {r.verdict}{mark}")
+        lines += [f"{'':34s} {'':>5}  * {f}" for f in r.flags]
+    return int(negative), {"reports": [r.as_dict() for r in reports]}, lines
 
 
-def _cmd_check_combinatorial(args) -> int:
+def _cmd_check_combinatorial(K, args):
     from .combinatorial import small_link_certificate
-    K = facetio.load(args.file)
     cert = small_link_certificate(K)
-    if args.json:
-        _print_json({"file": args.file, "certificate": cert.as_dict()})
-        return 0 if cert.verdict == "CERTIFIED" else 1
-    print(f"verdict: {cert.verdict}")
+    lines = [f"verdict: {cert.verdict}"]
     for lev in cert.levels:
         budget = "-" if lev.allowed_vertices is None else str(lev.allowed_vertices)
-        print(
+        lines.append(
             f"  links of dimension {lev.sphere_dim}: {lev.simplices_checked} checked, "
             f"max {lev.max_link_vertices} vertices (budget {budget}), "
             f"{lev.size_violations} oversized, {lev.rejections} rejected [{lev.method}]"
         )
     if cert.witness is not None:
-        print(f"witness: {cert.witness} ({cert.witness_reason})")
-    print(f"PL-sphere: {cert.pl_sphere}")
-    return 0 if cert.verdict == "CERTIFIED" else 1
+        lines.append(f"witness: {cert.witness} ({cert.witness_reason})")
+    lines.append(f"PL-sphere: {cert.pl_sphere}")
+    return int(cert.verdict != "CERTIFIED"), {"certificate": cert.as_dict()}, lines
 
 
-def _cmd_verify_duality(args) -> int:
+def _cmd_verify_duality(K, args):
     from .verify import alexander_duality_check
-    K = facetio.load(args.file)
     reports = []
-    if args.vertices:
+    if args.vertices is not None:
         reports.append(alexander_duality_check(K, _label_list(args.vertices)))
     else:
         import random
@@ -206,57 +182,40 @@ def _cmd_verify_duality(args) -> int:
             size = rng.randint(1, len(verts) - 1)
             V = tuple(rng.sample(verts, size))
             reports.append(alexander_duality_check(K, V))
-    ok = all(r.passed for r in reports)
-    if args.json:
-        _print_json({"file": args.file, "checks": [r.as_dict() for r in reports]})
-        return 0 if ok else 1
+    lines = []
     for r in reports:
-        status = "pass" if r.passed else "FAIL"
-        print(f"{status}  {r.name}")
+        lines.append(f"{'pass' if r.passed else 'FAIL'}  {r.name}")
         if not r.passed:
-            for e in r.entries:
-                if not e.equal:
-                    print(f"    degree {e.index}: {e.left} vs {e.right}")
-    print(f"{sum(r.passed for r in reports)}/{len(reports)} partitions verified")
-    return 0 if ok else 1
+            lines += [f"    degree {e.index}: {e.left} vs {e.right}" for e in r.entries if not e.equal]
+    passed = sum(r.passed for r in reports)
+    lines.append(f"{passed}/{len(reports)} partitions verified")
+    return int(passed < len(reports)), {"checks": [r.as_dict() for r in reports]}, lines
 
 
-def _cmd_verify_complement(args) -> int:
+def _cmd_verify_complement(K, args):
     from .verify import complement_homology_check
-    K = facetio.load(args.file)
-    facets = [_label_list(args.facet)] if args.facet else list(K.facets)
+    facets = [_label_list(args.facet)] if args.facet is not None else list(K.facets)
     reports = [complement_homology_check(K, f) for f in facets]
-    ok = all(r.passed for r in reports)
-    if args.json:
-        _print_json({"file": args.file, "checks": [r.as_dict() for r in reports]})
-        return 0 if ok else 1
+    lines = []
     for r in reports:
-        status = "pass" if r.passed else "FAIL"
-        print(f"{status}  {r.name}")
-        for note in r.notes:
-            print(f"      {note}")
+        lines.append(f"{'pass' if r.passed else 'FAIL'}  {r.name}")
+        lines += [f"      {note}" for note in r.notes]
         if not r.passed:
-            for e in r.entries:
-                if not e.equal and not e.advisory:
-                    print(f"    {e.kind} degree {e.index}: {e.left} vs {e.right}")
-    print(f"{sum(r.passed for r in reports)}/{len(reports)} facets verified")
-    return 0 if ok else 1
+            lines += [f"    {e.kind} degree {e.index}: {e.left} vs {e.right}"
+                      for e in r.entries if not e.equal and not e.advisory]
+    passed = sum(r.passed for r in reports)
+    lines.append(f"{passed}/{len(reports)} facets verified")
+    return int(passed < len(reports)), {"checks": [r.as_dict() for r in reports]}, lines
 
 
-def _cmd_verify_local(args) -> int:
+def _cmd_verify_local(K, args):
     from .verify import local_homology_sweep
-    K = facetio.load(args.file)
     report = local_homology_sweep(K)
-    if args.json:
-        _print_json({"file": args.file, "check": report.as_dict()})
-        return 0 if report.passed else 1
-    status = "pass" if report.passed else "FAIL"
-    print(f"{status}  {report.name}: {len(report.entries)} simplices checked")
+    lines = [f"{'pass' if report.passed else 'FAIL'}  {report.name}: {len(report.entries)} simplices checked"]
     if not report.passed:
-        for e in report.entries:
-            if not e.passed:
-                print(f"    {e.simplex}: expected sphere of dim {e.sphere_dim}, got {e.observed}")
-    return 0 if report.passed else 1
+        lines += [f"    {e.simplex}: expected sphere of dim {e.sphere_dim}, got {e.observed}"
+                  for e in report.entries if not e.passed]
+    return int(not report.passed), {"check": report.as_dict()}, lines
 
 
 def _cmd_fixture(args) -> int:
@@ -290,62 +249,47 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=fn)
+        p.add_argument("file")
+        p.add_argument("--json", action="store_true")
         return p
 
-    p = add("info", _cmd_info, "f-vector, dimension, pseudomanifold report")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
+    add("info", _cmd_info, "f-vector, dimension, pseudomanifold report")
 
     p = add("homology", _cmd_homology, "homology profile")
-    p.add_argument("file")
     p.add_argument("--coeff", default="Z", help="Z or Zp with p prime (default Z)")
     p.add_argument("--reduced", action="store_true")
-    p.add_argument("--json", action="store_true")
 
-    p = add("links", _cmd_links, "vertex link summaries")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
+    add("links", _cmd_links, "vertex link summaries")
 
     p = add("pi1", _cmd_pi1, "edge-path presentation and freeness verdict")
-    p.add_argument("file")
     p.add_argument("--seed", type=int, default=None, help="randomize the spanning tree")
-    p.add_argument("--json", action="store_true")
 
     p = add("bounds", _cmd_bounds, "run all vertex-count bounds")
-    p.add_argument("file")
     p.add_argument("--assert", dest="assert_file", default=None, metavar="FILE",
                    help="key=value assertions file (pi1=not-free, simply-connected=true)")
     p.add_argument("--no-certify", action="store_true",
                    help="skip the combinatoriality certificate")
-    p.add_argument("--json", action="store_true")
 
-    p = add("check-combinatorial", _cmd_check_combinatorial,
-            "small-link combinatoriality certificate")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
+    add("check-combinatorial", _cmd_check_combinatorial,
+        "small-link combinatoriality certificate")
 
     p = add("verify-duality", _cmd_verify_duality,
             "complement duality on a certified sphere")
-    p.add_argument("file")
     p.add_argument("--vertices", default=None, metavar="V1,V2,...",
                    help="one explicit vertex set (default: random partitions)")
     p.add_argument("--partitions", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
 
     p = add("verify-complement", _cmd_verify_complement,
             "deleted-facet complement homology check")
-    p.add_argument("file")
     p.add_argument("--facet", default=None, metavar="V1,V2,...",
                    help="one facet (default: sweep all facets)")
-    p.add_argument("--json", action="store_true")
 
-    p = add("verify-local", _cmd_verify_local,
-            "local homology sweep over all simplex links")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
+    add("verify-local", _cmd_verify_local,
+        "local homology sweep over all simplex links")
 
-    p = add("fixture", _cmd_fixture, "write a named fixture to a facet file")
+    p = sub.add_parser("fixture", help="write a named fixture to a facet file")
+    p.set_defaults(func=_cmd_fixture, file=None)
     p.add_argument("name", help="fixture name, or 'list'")
     p.add_argument("out", nargs="?", default=None)
     p.add_argument("--d", type=int, default=None)
@@ -364,11 +308,15 @@ def main(argv=None) -> int:
             return 0
         return 2
     try:
-        return args.func(args)
-    except ComplexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        if args.file is None:
+            return args.func(args)
+        code, payload, lines = args.func(facetio.load(args.file), args)
+        if args.json:
+            print(json.dumps({"file": args.file, **payload}, indent=2, sort_keys=True))
+        else:
+            print("\n".join(lines))
+        return code
+    except (ComplexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

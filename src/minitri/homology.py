@@ -327,13 +327,9 @@ def euler_characteristic(K: SimplicialComplex) -> int:
     return sum(f if i % 2 == 0 else -f for i, f in enumerate(K.f_vector()))
 
 
-def is_homology_sphere(K: SimplicialComplex, d: int | None = None, coeff="Z") -> bool:
-    """Whether a closed pseudomanifold has the reduced homology of S^d."""
+def is_homology_sphere(K: SimplicialComplex, coeff="Z") -> bool:
+    """Whether a closed pseudomanifold has the reduced homology of S^d, d = dim K."""
     report = K.is_closed_pseudomanifold()
     if not report.is_closed_pseudomanifold:
         raise NotPseudomanifoldError("homology sphere test needs a closed pseudomanifold")
-    if d is None:
-        d = K.dimension
-    if d != K.dimension:
-        raise HypothesisError(f"complex has dimension {K.dimension}, not {d}")
-    return homology(K, coeff, reduced=True).is_sphere(d)
+    return homology(K, coeff, reduced=True).is_sphere(K.dimension)

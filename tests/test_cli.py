@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from minitri import facetio, fixtures
-from minitri.cli import main
+from minitri.cli import _build_parser, main
+from minitri.complexes import from_facets
 
 
 @pytest.fixture
@@ -230,6 +232,25 @@ def test_verify_complement_non_facet(rp2_file):
     assert main(["verify-complement", rp2_file, "--facet", "1,2"]) == 2
 
 
+def test_empty_vertices_is_the_empty_set(c94_file, capsys):
+    # "" names V = {} as "," does; it must not run the random partitions of an omitted --vertices
+    outputs = []
+    for text in ("", ","):
+        assert main(["verify-duality", c94_file, "--partitions", "2", "--vertices", text]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].endswith("\n1/1 partitions verified\n")
+
+
+def test_empty_facet_is_the_empty_set(rp2_file, capsys):
+    # "" names the empty set as "," does; it must not sweep all facets as an omitted --facet does
+    for text in ("", ","):
+        assert main(["verify-complement", rp2_file, "--facet", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "() does not span a facet" in captured.err
+
+
 def test_label_options_read_tokens_as_facet_files_do(tmp_path, capsys):
     # "1_0" is a string label in a facet file, so --facet and --vertices
     # must not read it as the integer 10
@@ -287,6 +308,53 @@ def _fresh_python(*args):
 # imports everything it calls.
 _FILE_COMMANDS = ("info", "homology", "links", "pi1", "bounds", "check-combinatorial",
                   "verify-complement", "verify-local")
+
+
+def test_file_commands_list_every_file_subcommand():
+    # The fresh-interpreter tests below cover _FILE_COMMANDS and verify-duality,
+    # so a new subcommand that takes a file must join them.
+    sub, = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    takes_file = {name for name, p in sub.choices.items()
+                  if {"file", "json"} <= {a.dest for a in p._actions}}
+    assert takes_file == {*_FILE_COMMANDS, "verify-duality"}
+
+
+@pytest.fixture
+def rejected_file(tmp_path):
+    # The suspension of the torus: a closed pseudomanifold whose two cone
+    # points have torus links, so the certificate rejects it.
+    path = tmp_path / "susp_torus.facets"
+    facetio.dump(fixtures.torus_7().join(from_facets([(100,), (101,)])), path)
+    return str(path)
+
+
+_NEGATIVE_ON_REJECTED = ("bounds", "check-combinatorial", "verify-complement", "verify-local")
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, source] for source in ("rp2", "c94", "rejected")
+      for command in (*_FILE_COMMANDS, "verify-duality")),
+    ["bounds", "c94", "--assert", "not-free"],
+], ids="-".join)
+def test_exit_code_does_not_depend_on_json(argv, rp2_file, c94_file, rejected_file, tmp_path, capsys):
+    command, source = argv[:2]
+    if command == "verify-duality" and source != "c94":
+        expected = 2  # not a certified sphere
+    elif "--assert" in argv or (source == "rejected" and command in _NEGATIVE_ON_REJECTED):
+        expected = 1
+    else:
+        expected = 0
+    assertions = tmp_path / "not-free.txt"
+    assertions.write_text("pi1=not-free\n")
+    files = {"rp2": rp2_file, "c94": c94_file, "rejected": rejected_file, "not-free": str(assertions)}
+    argv = [files.get(arg, arg) for arg in argv]
+    assert main(argv) == expected
+    human = capsys.readouterr().out
+    assert main([*argv, "--json"]) == expected
+    if expected == 2:
+        assert human == ""
+    else:
+        assert human.endswith("\n") and not human.endswith("\n\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -518,6 +518,9 @@ def test_is_homology_sphere():
     assert not is_homology_sphere(fixtures.cp2_9())
     # RP2 becomes acyclic, not spherical, away from 2
     assert not is_homology_sphere(fixtures.rp2_6(), coeff="Z3")
+    # the dimension is read off K, so a second positional argument is the coefficient ring
+    with pytest.raises(CoefficientError):
+        is_homology_sphere(fixtures.boundary_simplex(3), 3)
 
 
 def test_coefficient_validation():
