@@ -38,18 +38,6 @@ class BoundReport:
     flags: tuple = ()
     details: dict = _Fresh(dict)
 
-    def as_dict(self):
-        return {
-            "rule": self.rule,
-            "verdict": self.verdict,
-            "bound": self.bound,
-            "dimension": self.dimension,
-            "hypotheses": dict(self.hypotheses),
-            "applicable": self.applicable,
-            "flags": list(self.flags),
-            "details": dict(self.details),
-        }
-
 
 def cat_vertex_bound(d: int, cat: int) -> int:
     """Vertex floor 1 + d + cat(cat-1)/2 from the category of the manifold."""

@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 
 from .complexes import SimplicialComplex, _compact, _find, _memoized, from_facets
-from .errors import DimensionError, HypothesisError, NotPseudomanifoldError, _record
+from .errors import DimensionError, HypothesisError, NotPseudomanifoldError, _as_dict, _record
 from .homology import homology
 
 
@@ -123,17 +123,6 @@ class LevelSummary:
     rejections: int
     method: str
 
-    def as_dict(self):
-        return {
-            "sphere_dim": self.sphere_dim,
-            "simplices_checked": self.simplices_checked,
-            "max_link_vertices": self.max_link_vertices,
-            "allowed_vertices": self.allowed_vertices,
-            "size_violations": self.size_violations,
-            "rejections": self.rejections,
-            "method": self.method,
-        }
-
 
 @_record
 class CombinatorialityCertificate:
@@ -143,16 +132,6 @@ class CombinatorialityCertificate:
     witness: tuple | None
     witness_reason: str | None
     pl_sphere: bool
-
-    def as_dict(self):
-        return {
-            "verdict": self.verdict,
-            "dimension": self.dimension,
-            "levels": [lv.as_dict() for lv in self.levels],
-            "witness": list(self.witness) if self.witness is not None else None,
-            "witness_reason": self.witness_reason,
-            "pl_sphere": self.pl_sphere,
-        }
 
 
 def _level_test(k):
@@ -274,9 +253,6 @@ class BistellarMove:
     face: tuple
     cofacet: tuple
 
-    def as_dict(self):
-        return {"face": list(self.face), "cofacet": list(self.cofacet)}
-
 
 @_record
 class BistellarResult:
@@ -287,12 +263,9 @@ class BistellarResult:
     detail: str
 
     def as_dict(self):
-        return {
-            "success": self.success,
-            "moves": [m.as_dict() for m in self.moves],
-            "restarts_used": self.restarts_used,
-            "detail": self.detail,
-        }
+        d = _as_dict(self)
+        del d["final_facets"]
+        return d
 
 
 def _simplex_boundary_vertices(facets):

@@ -37,6 +37,7 @@ from .errors import (
     MissingSimplexError,
     NotPseudomanifoldError,
     VertexSetError,
+    _as_dict,
     _record,
 )
 
@@ -118,13 +119,7 @@ class PseudomanifoldReport:
         return self.pure and self.ridge_degree_two and self.strongly_connected
 
     def as_dict(self):
-        return {
-            "dimension": self.dimension,
-            "pure": self.pure,
-            "ridge_degree_two": self.ridge_degree_two,
-            "strongly_connected": self.strongly_connected,
-            "is_closed_pseudomanifold": self.is_closed_pseudomanifold,
-        }
+        return {**_as_dict(self), "is_closed_pseudomanifold": self.is_closed_pseudomanifold}
 
 
 def _find(parent, x):
@@ -182,16 +177,16 @@ class SimplicialComplex:
     def _to_labels(self, sids):
         return tuple(self.labels[i] for i in sids)
 
-    def _simplex_ids(self, simplex, error_cls=MissingSimplexError):
+    def _simplex_ids(self, simplex):
         ids = []
         for lab in simplex:
             i = self._id_of.get(lab)
             if i is None:
-                raise error_cls(f"vertex {lab!r} is not in the complex")
+                raise MissingSimplexError(f"vertex {lab!r} is not in the complex")
             ids.append(i)
         t = tuple(sorted(ids))
         if len(set(t)) != len(t):
-            raise error_cls(f"repeated vertex in simplex {tuple(simplex)!r}")
+            raise MissingSimplexError(f"repeated vertex in simplex {tuple(simplex)!r}")
         return t
 
     def _vertex_ids(self, vertex_set):

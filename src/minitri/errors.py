@@ -3,6 +3,12 @@
 Everything derives from ComplexError so callers can catch toolkit
 failures with a single except clause.  The CLI maps ComplexError to
 exit code 2 (bad input) unless a command decides otherwise.
+
+Every result record is a ``_record`` class, and its ``as_dict()`` (the
+JSON of the library and the CLI) is made from its fields by one rule: a
+tuple becomes a list, a nested record its own ``as_dict()``, a dict a
+shallow copy, and any other value stays.  A record whose JSON differs
+from its fields defines its own ``as_dict``, which wins.
 """
 
 
@@ -73,7 +79,9 @@ def _record(cls):
     built per instance.  Fields named in the class's ``_uncompared`` take
     no part in ``==`` and ``hash``.  ``__init__`` (which calls
     ``__post_init__`` if the class has one) and the comparison key are
-    generated per class; the other methods are shared.
+    generated per class; the other methods are shared, and one the class
+    defines itself wins over the shared one.  The shared ``as_dict`` maps
+    each field by name through ``_plain``.
     """
     fields = tuple(cls.__annotations__)
     env = {"_set": object.__setattr__}
@@ -100,7 +108,8 @@ def _record(cls):
         env[name].__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, env[name])
     for name, method in _SHARED:
-        setattr(cls, name, method)
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
     cls._fields = fields
     return cls
 
@@ -133,6 +142,22 @@ def _replace(self, **changes):
     return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
 
 
+def _plain(value):
+    """``value`` in plain JSON types: tuples become lists, records dicts."""
+    if hasattr(value, "as_dict"):
+        return value.as_dict()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+def _as_dict(self):
+    """The record as a dict of its fields, each converted by ``_plain``."""
+    return {name: _plain(getattr(self, name)) for name in self._fields}
+
+
 _SHARED = (
     ("__eq__", _eq),
     ("__hash__", _hash),
@@ -140,4 +165,5 @@ _SHARED = (
     ("__setattr__", _setattr),
     ("__delattr__", _delattr),
     ("_replace", _replace),
+    ("as_dict", _as_dict),
 )

@@ -15,7 +15,7 @@ from collections import Counter, deque
 from itertools import permutations
 
 from .complexes import SimplicialComplex
-from .errors import ConnectivityError, DimensionError, HypothesisError, _record
+from .errors import ConnectivityError, DimensionError, HypothesisError, _as_dict, _plain, _record
 from .snf import SparseMatrix, smith_normal_form
 
 
@@ -300,9 +300,6 @@ class AbelianInvariants:
     rank: int
     torsion: tuple
 
-    def as_dict(self):
-        return {"rank": self.rank, "torsion": list(self.torsion)}
-
     def describe(self):
         parts = []
         if self.rank == 1:
@@ -477,20 +474,11 @@ class FreenessVerdict:
     presentation: GroupPresentation
 
     def as_dict(self):
-        cert = None
+        d = _as_dict(self)
         if self.certificate is not None:
-            cert = {
-                k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in self.certificate.items()
-                if k != "presentation"
-            }
-        return {
-            "status": self.status,
-            "rank": self.rank,
-            "reason": self.reason,
-            "certificate": cert,
-            "presentation": self.presentation.as_dict(),
-        }
+            cert = self.certificate
+            d["certificate"] = {k: _plain(cert[k]) for k in cert if k != "presentation"}
+        return d
 
 
 def freeness_verdict(
@@ -568,6 +556,9 @@ def validate_not_free_certificate(verdict: FreenessVerdict) -> bool:
         if len(images) != Q.ngens or not all(_int_sequence(p) for p in images):
             return False
         images = [tuple(p) for p in images]
+        # lengths before anything of size n; no images is the trivial map
+        if not images or any(len(p) != n for p in images):
+            return False
         ident = tuple(range(n))
         if any(tuple(sorted(p)) != ident for p in images):
             return False

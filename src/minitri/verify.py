@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .combinatorial import certified_sphere
 from .complexes import SimplicialComplex, _compact
-from .errors import HypothesisError, NotPseudomanifoldError, _record
+from .errors import HypothesisError, NotPseudomanifoldError, _as_dict, _record
 from .homology import cohomology, homology
 
 
@@ -33,16 +33,7 @@ class GroupComparison:
     note: str = ""
 
     def as_dict(self):
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "coefficients": self.coeff,
-            "left": self.left,
-            "right": self.right,
-            "equal": self.equal,
-            "advisory": self.advisory,
-            "note": self.note,
-        }
+        return {"coefficients" if k == "coeff" else k: v for k, v in _as_dict(self).items()}
 
 
 @_record
@@ -52,14 +43,6 @@ class LinkSphereCheck:
     observed: str
     passed: bool
 
-    def as_dict(self):
-        return {
-            "simplex": list(self.simplex),
-            "sphere_dim": self.sphere_dim,
-            "observed": self.observed,
-            "passed": self.passed,
-        }
-
 
 @_record
 class CheckReport:
@@ -67,14 +50,6 @@ class CheckReport:
     passed: bool
     entries: tuple
     notes: tuple = ()
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "entries": [e.as_dict() for e in self.entries],
-            "notes": list(self.notes),
-        }
 
 
 def _groups_text(prof) -> str:

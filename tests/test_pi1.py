@@ -321,6 +321,8 @@ def test_forged_certificates_rejected():
         ("perfect-and-nontrivial-quotient", trivial, {"degree": 2, "images": (5,)}),
         ("perfect-and-nontrivial-quotient", trivial, {"degree": 2, "images": 5}),
         ("perfect-and-nontrivial-quotient", trivial, {"degree": 2, "images": (("a", 0),)}),
+        # A forged degree is rejected before anything of that size is built.
+        ("perfect-and-nontrivial-quotient", trivial, {"degree": 10**15, "images": ((1, 0),)}),
     ]
     for kind, Q, fields in forged:
         cert = {"kind": kind, "presentation": Q, **fields}
