@@ -130,6 +130,47 @@ def _find(parent, x):
     return x
 
 
+def _dual_forest(top, d):
+    """``(paired, tree, odd)`` from one parity union-find over the ridges of ``top``.
+
+    ``top`` holds sorted d-faces, the nodes of the dual graph; its edges
+    are the ridges that lie in two of them.  Node 2*idx + b means "facet
+    idx has sign (-1)^b", so the low bit is the parity and path halving
+    carries it.  The ridge omitting f[p] has sign (-1)^p in f: node a is
+    "f induces +", so the other facet b must induce -.  ``tree`` lists the
+    ridges that joined two components, a spanning forest; each component
+    is mirrored by the one holding the opposite nodes.  ``odd`` counts the
+    components with a ridge whose facets, signed along the forest, induce
+    the same orientation on it.  ``paired``: every ridge is in two faces.
+    """
+    parent = list(range(2 * len(top)))
+    first = {}  # ridge -> node of its first facet, stored as ~node once a second one meets it
+    paired = True
+    tree = []
+    wrong = []
+    for idx, f in enumerate(top):
+        for j, ridge in enumerate(itertools.combinations(f, d)):
+            a = 2 * idx + ((d - j) & 1)  # combinations omits f[d], f[d-1], ..., f[0]
+            b = first.setdefault(ridge, a)
+            if b == a:
+                continue
+            if b < 0:
+                paired, b = False, ~b
+            else:
+                first[ridge] = ~b
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra == rb:
+                wrong.append(a)
+                continue
+            rb1 = _find(parent, b ^ 1)
+            if ra != rb1:
+                parent[ra] = rb1
+                parent[_find(parent, a ^ 1)] = rb
+                tree.append(ridge)
+    odd = len({min(_find(parent, a), _find(parent, a ^ 1)) for a in wrong})
+    return paired and all(b < 0 for b in first.values()), tree, odd
+
+
 class SimplicialComplex:
     """Immutable simplicial complex, constructed via :func:`from_facets`."""
 
@@ -311,8 +352,7 @@ class SimplicialComplex:
 
         Results are reported, not raised: callers that require a closed
         pseudomanifold inspect the report.  Requires dimension >= 1.  The
-        report comes from ``_ridge_walk``, which also gives orientability
-        and the top boundary map's spanning tree.
+        report comes from ``_ridge_walk``, which also gives orientability.
         """
         return self._ridge_walk()[0]
 
@@ -321,70 +361,33 @@ class SimplicialComplex:
 
         Only defined for closed pseudomanifolds; the answer is read off
         ``_ridge_walk``, the same ridge walk that gives the
-        pseudomanifold report and homology its top boundary map.
+        pseudomanifold report.
         """
-        report, orientable, _ = self._ridge_walk()
+        report, orientable = self._ridge_walk()
         if not report.is_closed_pseudomanifold:
             raise NotPseudomanifoldError("orientability needs a closed pseudomanifold")
         return orientable
 
     @_memoized
     def _ridge_walk(self):
-        """``(report, orientable, tree)`` from one walk over the ridges of the top facets.
+        """``(report, orientable)`` from one ``_dual_forest`` walk over the top facets.
 
-        The top facets and their ridges form the dual graph.  A union-find
-        with a parity bit per top facet joins the facets on each ridge.
-        ``tree`` lists the ridges that joined two components, so the top
-        facets are strongly connected iff it has one ridge fewer than
-        there are top facets; in a closed pseudomanifold it is a spanning
-        tree of the dual graph.  A ridge whose facets are already joined
-        with the wrong parity proves the complex non-orientable; the
-        orientability means nothing unless the complex is a closed
-        pseudomanifold.  A (d-1)-face that lies in no top facet is itself
-        a facet with d vertices, so ridge degree 2 means: no such facet,
-        and every ridge of a top facet lies in exactly two top facets.
+        Strong connectivity means one forest ridge fewer than top facets.
+        A (d-1)-face in no top facet is itself a facet with d vertices, so
+        ridge degree 2 means: no such facet, and every ridge paired.
         """
         d = self.dimension
         if d < 1:
             raise DimensionError("pseudomanifold check needs a complex of dimension >= 1")
         top = [f for f in self._id_facets if len(f) == d + 1]
-        # Node 2*idx + b: "facet idx has sign (-1)^b", so the low bit is the
-        # parity and path halving carries it.  The ridge omitting f[p] has
-        # sign (-1)^p in f: node a is "f induces +", so b must induce -.
-        # Only tree ridges join, so each component is mirrored by the one
-        # holding the opposite nodes: a facet already joined to b's facet
-        # has a in the component of b (wrong parity) or of b ^ 1.
-        parent = list(range(2 * len(top)))
-        ridge_ok = not any(len(f) == d for f in self._id_facets)
-        first = {}  # ridge -> node of its first facet, stored as ~node once a second one meets it
-        orientable = True
-        tree = []
-        for idx, f in enumerate(top):
-            for j, ridge in enumerate(itertools.combinations(f, d)):
-                a = 2 * idx + ((d - j) & 1)  # combinations omits f[d], f[d-1], ..., f[0]
-                b = first.setdefault(ridge, a)
-                if b == a:
-                    continue
-                if b < 0:
-                    ridge_ok, b = False, ~b
-                else:
-                    first[ridge] = ~b
-                ra, rb = _find(parent, a), _find(parent, b)
-                if ra == rb:
-                    orientable = False
-                    continue
-                rb1 = _find(parent, b ^ 1)
-                if ra != rb1:
-                    parent[ra] = rb1
-                    parent[_find(parent, a ^ 1)] = rb
-                    tree.append(ridge)
+        paired, tree, odd = _dual_forest(top, d)
         report = PseudomanifoldReport(
             dimension=d,
             pure=len(top) == len(self._id_facets),
-            ridge_degree_two=ridge_ok and all(b < 0 for b in first.values()),
+            ridge_degree_two=paired and not any(len(f) == d for f in self._id_facets),
             strongly_connected=len(tree) == len(top) - 1,
         )
-        return report, orientable, tree
+        return report, not odd
 
     # -- dunder ------------------------------------------------------------
 

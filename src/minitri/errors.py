@@ -143,10 +143,10 @@ def _replace(self, **changes):
 
 
 def _plain(value):
-    """``value`` in plain JSON types: tuples become lists, records dicts."""
+    """``value`` in plain JSON types: tuples and lists become lists, records dicts."""
     if hasattr(value, "as_dict"):
         return value.as_dict()
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return dict(value)

@@ -19,11 +19,19 @@ free, and leaves every other group as it is.  The empty complex has a
 single reduced group Z in dimension -1, which keeps duality bookkeeping
 uniform.
 
-Homology reduces the maps in order, top degree first, and clears: every
-i-face that is a unit pivot row of d_{i+1} is left out as a column of
-d_i (Chen and Kerber, "Persistent homology computation with a twist",
-2011).  This is exact over Z.  The unit pivots of d_{i+1} pick rows R
-and columns C with det d_{i+1}[R, C] = +-1, and d_i d_{i+1} = 0 gives
+Homology reduces the maps of the pair (K, st v), v being the vertex in
+the most facets (lowest id on ties).  The closed star st v = v * lk v
+is a cone, hence contractible, so the exact sequence of the pair gives
+H_i(K) = H_i(K, st v) for i >= 1 and H_0(K) = H_0(K, st v) + Z.  The
+relative chains are spanned by the faces outside the star: the faces of
+the facets without v, minus the faces of lk v.
+
+The maps are reduced top degree first, and cleared: every i-face that
+is a unit pivot row of d_{i+1} is left out as a column of d_i (Chen and
+Kerber, "Persistent homology computation with a twist", 2011).  This is
+exact over Z in any chain complex of free modules, the pair's included.
+The unit pivots of d_{i+1} pick rows R and columns C with
+det d_{i+1}[R, C] = +-1, and d_i d_{i+1} = 0 gives
 
     d_i[:, R] = -d_i[:, R'] d_{i+1}[R', C] d_{i+1}[R, C]^{-1},
 
@@ -34,47 +42,43 @@ pivots of ``snf``'s first phase clear; pivots of its Euclid residual do
 not.  Each map is built with the cleared faces already left out.
 
 The top map d_d of a closed pseudomanifold (d >= 1) is not eliminated.
-Every ridge lies in exactly two facets, so d_d is the signed incidence
-matrix of the dual graph, which has the facets as nodes and the ridges
-as edges: the row of a ridge holds one entry +-1 for each of its two
-facets.  Strong connectivity makes the graph connected; let T be the
-ridges of a spanning tree and r a root facet.  A leaf facet other than r
-lies on one ridge of T, so its column of d_d[T, C], C being the facets
-other than r, has a single entry +-1; expanding along it and removing
-the leaf leaves a smaller tree, so det d_d[T, C] = +-1.  The f_d - 1
-tree ridges are thus unit pivots, and clearing leaves them out of
-d_{d-1} exactly as it does the pivot rows of an elimination.  Pivoting
-them out signs every facet relative to r along the tree and leaves the
-single column of r: in the row of a ridge outside T the entry is 0 when
-its two facets, so signed, induce opposite orientations on it, and +-2
-when they induce the same.  So the invariant factors are f_d - 1 ones,
-plus one 2 when K is non-orientable.  One parity union-find over the
-ridges (``SimplicialComplex._ridge_walk``) gives T, the orientability
-and the closed-pseudomanifold report that decides the shortcut; no
-matrix is built.  Other complexes are eliminated as
-above.
+A facet through an outside ridge that contained v would put the ridge
+in the star, so an outside ridge lies in exactly two facets, both
+outside: the relative d_d is the signed incidence matrix of the graph
+whose nodes are the outside facets and whose edges are the outside
+ridges.  Let T be the ridges of a spanning forest.  In each tree a leaf
+other than the root lies on one ridge of T; expanding along its column
+and removing it shows det d_d[T, C] = +-1, C being the facets other
+than the roots.  So the ridges of T are unit pivots, which clear d_{d-1}
+as the pivot rows of an elimination do.  Pivoting them out signs each
+facet relative to its root and leaves one column per tree: in the row
+of a ridge outside T the entry is 0 when its two facets, so signed,
+induce opposite orientations on it, and +-2 when they induce the same.
+So the invariant factors are a 1 per ridge of T and a 2 per tree with
+such a ridge.  One parity union-find (``complexes._dual_forest``) gives
+the forest and the 2s; the same walk over all of K's top facets gives
+the closed-pseudomanifold report that decides the shortcut.
 
-Cohomology over Z reduces the transposed maps bottom-up and clears with
-their own unit pivots (de Silva, Morozov and Vejdemo-Johansson,
+Cohomology over Z reduces K's own transposed maps bottom-up and clears
+with their unit pivots (de Silva, Morozov and Vejdemo-Johansson,
 arXiv:1107.5665): d_{i-1}^T's pivot rows, which are (i-1)-faces, are
 left out as rows of d_i, which is then transposed.  Cohomology is then
-checked against homology via universal coefficients; the check is a
-real one because no reduction or pivot is shared between the two sides,
-and it checks the spanning-tree reading of d_d as well.
-A failed check raises CrossCheckError.
+checked against homology via universal coefficients.  The two sides
+reduce different chain complexes and share no pivot, so the check is a
+real one, and it checks the star reduction and the forest as well.  A
+failed check raises CrossCheckError.
 
-``_reduction`` is the only reduction cache: it memoizes one SNF per
-boundary map and orientation on the complex, so homology, its reduced
-variant and the torsion read of the next degree share one SNF per map.
-The pruned matrices themselves are dropped once reduced.
+Profiles are memoized on the complex.  The face lists of the pair and
+the pruned matrices are dropped once reduced.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from collections import Counter
+from itertools import chain, combinations
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _dual_forest, _faces
 from .errors import (
     CoefficientError,
     CrossCheckError,
@@ -83,7 +87,7 @@ from .errors import (
     NotPseudomanifoldError,
     _record,
 )
-from .snf import SNFResult, SparseMatrix, is_prime, smith_normal_form
+from .snf import SparseMatrix, is_prime, smith_normal_form
 
 _COEFF_RE = re.compile(r"[Zz](?:/)?(\d+)\Z")
 
@@ -182,33 +186,20 @@ class BoundaryMatrix:
         return (len(self.row_simplices), len(self.col_simplices))
 
 
-def _build_boundary(K: SimplicialComplex, i: int, cleared=frozenset(), clear_rows=False):
-    """Matrix of the boundary map at chain degree i, over id-level faces.
+def _build_boundary(rows, cols):
+    """Matrix of the boundary map from the faces ``cols`` to the faces ``rows``.
 
-    Rows and columns are indexed in ``_ifaces`` order; at i = 0 the one
-    row is the empty simplex.  Faces whose index is in ``cleared`` are
-    left out, as columns (i-faces) or, with ``clear_rows``, as rows
-    ((i-1)-faces); the other faces on that side are renumbered in order,
-    and the opposite side keeps face indices.
+    Rows and columns follow the order of the two lists of id tuples; a
+    face of a column that is not in ``rows`` gets no entry.
     """
-    cols = K._ifaces(i)
-    faces = K._ifaces(i - 1)
-    dropped_rows, dropped_cols = (cleared, ()) if clear_rows else ((), cleared)
-    index = {}
-    for r, s in enumerate(faces):
-        if r not in dropped_rows:
-            index[s] = len(index)
-    rows = {}
-    c = 0
-    for k, s in enumerate(cols):
-        if k in dropped_cols:
-            continue
-        for j in range(i + 1):
+    index = {s: r for r, s in enumerate(rows)}
+    out = {}
+    for c, s in enumerate(cols):
+        for j in range(len(s)):
             r = index.get(s[:j] + s[j + 1 :])
             if r is not None:
-                rows.setdefault(r, {})[c] = -1 if j % 2 else 1
-        c += 1
-    return SparseMatrix((len(index), c), rows)
+                out.setdefault(r, {})[c] = -1 if j % 2 else 1
+    return SparseMatrix((len(rows), len(cols)), out)
 
 
 def boundary_matrix(K: SimplicialComplex, i: int, reduced: bool = False) -> BoundaryMatrix:
@@ -221,41 +212,77 @@ def boundary_matrix(K: SimplicialComplex, i: int, reduced: bool = False) -> Boun
     if i == 0 and not reduced:
         return BoundaryMatrix(0, False, (), cols, SparseMatrix((0, len(cols)), {}))
     rows = tuple(K._to_labels(f) for f in K._ifaces(i - 1))
-    return BoundaryMatrix(i, reduced, rows, cols, _build_boundary(K, i))
+    return BoundaryMatrix(i, reduced, rows, cols, _build_boundary(K._ifaces(i - 1), K._ifaces(i)))
 
 
-def _reduction(K: SimplicialComplex, i: int, transposed=False):
-    """Smith normal form of the degree-i boundary map (or its transpose), memoized."""
-    return K._memo(("reduction", i, transposed), _reduce, K, i, transposed)
+def _star_vertex(K):
+    """The vertex in the most facets, lowest id on ties: the cone point of the pair."""
+    counts = Counter(chain.from_iterable(K._id_facets))
+    return min(counts, key=lambda u: (-counts[u], u))
 
 
-def _reduce(K, i, transposed):
-    # The top map of a closed pseudomanifold is read off its dual spanning
-    # tree, with the tree ridges as pivot rows (see the module docstring).
-    if not transposed and i == K.dimension >= 1:
-        report, orientable, tree = K._ridge_walk()
-        if report.is_closed_pseudomanifold:
-            ridges = K._ifaces(i - 1)
-            f_top = len(K._ifaces(i))
-            factors = (1,) * (f_top - 1) + ((2,) if not orientable else ())
-            pivots = frozenset(bisect_left(ridges, r) for r in tree)
-            return SNFResult((len(ridges), f_top), factors, pivots)
-    # Clearing: the unit pivot rows of the neighbouring map, reduced first,
-    # index columns that the remaining columns already generate: columns
-    # of d_i for homology, rows of d_i (columns of d_i^T) for cohomology.
-    if transposed:
-        cleared = _reduction(K, i - 1, True).pivot_rows if i >= 2 else frozenset()
-    else:
-        cleared = _reduction(K, i + 1).pivot_rows if i < K.dimension else frozenset()
-    M = _build_boundary(K, i, cleared, clear_rows=transposed)
-    return smith_normal_form(M.transpose() if transposed else M)
+def _outside_faces(K, v):
+    """The i-faces of K outside the closed star of v, as a function of i.
+
+    They are the faces of the facets without v, minus the faces of lk v.
+    """
+    outside = [f for f in K._id_facets if v not in f]
+    link = [tuple(u for u in f if u != v) for f in K._id_facets if v in f]
+
+    def faces(i):
+        star = {s for g in link for s in combinations(g, i + 1)}
+        return [s for s in _faces(outside, i) if s not in star]
+
+    return faces
 
 
-def _rank(K, i, transposed):
-    # Rank of the degree-i boundary map; zero for d_0 and outside the complex.
-    if i < 1 or i > K.dimension:
-        return 0
-    return _reduction(K, i, transposed).rank
+def _reduce(rows, cols, forest):
+    """Invariant factors of the map from ``cols`` to ``rows``, and its unit pivot rows.
+
+    ``forest``: the map is a closed pseudomanifold's relative top map.
+    """
+    if forest:
+        _, tree, odd = _dual_forest(cols, len(cols[0]) - 1)
+        return (1,) * len(tree) + (2,) * odd, set(tree)
+    snf = smith_normal_form(_build_boundary(rows, cols))
+    return snf.invariant_factors, {rows[r] for r in snf.pivot_rows}
+
+
+def _relative(K):
+    """Face counts and invariant factors of d_1..d_d for the pair (K, st v).
+
+    The maps are reduced top-down, each without the columns that are
+    unit pivot rows of the one above.  H_0(K) has one free Z more than
+    H_0(K, st v), counted as one more 0-face.
+    """
+    d = K.dimension
+    faces = _outside_faces(K, _star_vertex(K))
+    sizes, factors = [0] * (d + 1), [()] * (d + 2)
+    cols = faces(d)
+    sizes[d] = len(cols)
+    for i in range(d, 0, -1):
+        rows = faces(i - 1)
+        sizes[i - 1] = len(rows)
+        forest = i == d and K.is_closed_pseudomanifold().is_closed_pseudomanifold
+        factors[i], pivots = _reduce(rows, cols, forest)
+        cols = [s for s in rows if s not in pivots]
+    sizes[0] += 1
+    return sizes, factors
+
+
+def _coboundaries(K):
+    """Face counts and invariant factors of d_1^T..d_d^T, reduced bottom-up.
+
+    Each d_i loses the rows that are unit pivot rows of d_{i-1}^T.
+    """
+    d = K.dimension
+    factors = [()] * (d + 2)
+    pivots = ()
+    for i in range(1, d + 1):
+        rows = [s for r, s in enumerate(K._ifaces(i - 1)) if r not in pivots]
+        snf = smith_normal_form(_build_boundary(rows, K._ifaces(i)).transpose())
+        factors[i], pivots = snf.invariant_factors, snf.pivot_rows
+    return [len(K._ifaces(i)) for i in range(d + 1)], factors
 
 
 def homology(K: SimplicialComplex, coeff="Z", reduced: bool = False) -> HomologyProfile:
@@ -294,13 +321,12 @@ def _profile(K, label, p, reduced, kind):
         for i in range(dim + 1):
             torsion = Z.torsion(i) + Z.torsion(i + step)
             groups.append((i, Z.betti(i) + sum(1 for t in torsion if t % p == 0), ()))
-    else:
+    elif dim >= 0:
+        sizes, factors = (_coboundaries if transposed else _relative)(K)
         for i in range(dim + 1):
-            f_i = len(K._ifaces(i))
-            betti = f_i - _rank(K, i, transposed) - _rank(K, i + 1, transposed)
+            betti = sizes[i] - len(factors[i]) - len(factors[i + 1])
             # torsion is that of the map into degree i: d_{i+1}, or d_i transposed
-            t = i if transposed else i + 1
-            torsion = _reduction(K, t, transposed).torsion_factors if 1 <= t <= dim else ()
+            torsion = tuple(t for t in factors[i if transposed else i + 1] if t != 1)
             groups.append((i, betti, torsion))
     profile = HomologyProfile(label, reduced, kind, dim, tuple(g for g in groups if g[1] or g[2]))
     if transposed and not reduced:

@@ -475,8 +475,8 @@ class FreenessVerdict:
 
     def as_dict(self):
         d = _as_dict(self)
-        if self.certificate is not None:
-            cert = self.certificate
+        cert = self.certificate
+        if isinstance(cert, dict):
             d["certificate"] = {k: _plain(cert[k]) for k in cert if k != "presentation"}
         return d
 

@@ -12,9 +12,9 @@ residual, which has no unit entry left, is diagonalized on the same
 rows by Euclid's algorithm: pivot on an entry of least magnitude, leave
 remainders in its column by row operations and then in its row by
 column operations, and pivot again on any remainder, which is smaller.
-The invariant factors are read off the diagonal: units first, then each
-pair of other entries replaced by their gcd and lcm, which leaves
-d_1 | d_2 | ....  Python integers are arbitrary precision, so no
+The invariant factors are read off the diagonal: units first, then the
+other entries sorted, each pair replaced by their gcd and lcm unless
+they already divide up, which leaves d_1 | d_2 | ....  Python integers are arbitrary precision, so no
 overflow guard is needed.
 
 The rank over F_p is the number of invariant factors that p does not
@@ -23,6 +23,7 @@ divide (see ``rank_mod_p``), so no elimination runs modulo p.
 
 from __future__ import annotations
 
+from collections import Counter
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -186,13 +187,15 @@ def smith_normal_form(matrix) -> SNFResult:
     pivots = _eliminate(rows)
     diagonal = _reduce_residual(rows)
     units = len(pivots) + diagonal.count(1)
-    d = [x for x in diagonal if x != 1]
+    d = sorted(x for x in diagonal if x != 1)
     # diag(a, b) and diag(gcd, lcm) have the same Smith normal form; after
-    # position a has met every later one, it divides all of them.
-    for a in range(len(d)):
-        for b in range(a + 1, len(d)):
-            g = gcd(d[a], d[b])
-            d[a], d[b] = g, d[a] // g * d[b]
+    # position a has met every later one, it divides all of them.  A
+    # diagonal that already divides up is its own normal form.
+    if any(b % a for a, b in zip(d, d[1:])):
+        for a in range(len(d)):
+            for b in range(a + 1, len(d)):
+                g = gcd(d[a], d[b])
+                d[a], d[b] = g, d[a] // g * d[b]
     return SNFResult(shape, (1,) * units + tuple(d), frozenset(pivots))
 
 
@@ -204,9 +207,13 @@ def _reduce_residual(rows) -> list:
     column is clear, column operations, which touch only the pivot row,
     do the same along the row.  A remainder is smaller than |v|, so the
     next step pivots on it (Euclid's algorithm).  A pivot left alone in
-    its row and column is recorded and its row dropped.
+    its row and column is recorded and its row dropped; the entries that
+    are alone from the start are recorded first, in one pass.
     """
     diagonal = []
+    count = Counter(j for row in rows.values() for j in row)
+    for i in [i for i, row in rows.items() if len(row) == 1 and count[next(iter(row))] == 1]:
+        diagonal.append(abs(rows.pop(i).popitem()[1]))
     while rows:
         _, i, j = min((abs(v), i, j) for i, row in rows.items() for j, v in row.items())
         prow = rows[i]

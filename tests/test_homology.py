@@ -24,9 +24,10 @@ from minitri.homology import (
     is_homology_sphere,
 )
 
-from minitri.snf import SNFResult, SparseMatrix, smith_normal_form
+from minitri.snf import SparseMatrix, smith_normal_form
 
 from oracles import profile_per_map, rank_mod_p_naive, random_complex, suspension
+from test_combinatorial import _relabelled
 from test_complexes import _benchmark_corpus
 
 # the package attribute minitri.homology is the function, not the module
@@ -159,11 +160,11 @@ def test_wide_cross_polytope_is_sphere(d):
 
 
 def test_reductions_memoized_once_per_map(monkeypatch):
-    # Homology reduces top-down: each map loses the columns that are unit
-    # pivot rows of the map above it, so d_i is reduced as f_{i-1} x
-    # (f_i - r_{i+1}).  The top map of a closed pseudomanifold is read off
-    # its dual spanning tree, with no SNF call.  Cohomology reduces its
-    # transposed maps bottom-up with its own pivots, so d_i^T is reduced as
+    # Homology reduces the maps of the pair (K, st v) top-down: each map
+    # loses the columns that are unit pivot rows of the map above it.  The
+    # top map of a closed pseudomanifold is read off the forest of its
+    # outside facets, with no SNF call.  Cohomology reduces K's transposed
+    # maps bottom-up with its own pivots, so d_i^T is reduced as
     # f_i x (f_{i-1} - r_{i-1}).  Reduced profiles are read off the
     # unreduced ones: no augmented map.
     shapes = []
@@ -181,9 +182,12 @@ def test_reductions_memoized_once_per_map(monkeypatch):
     for i in (2, 1):
         r[i] = f[i] - r[i + 1]
     assert f[0] - r[1] == 1
+    # Outside the star of vertex 0 lie the faces through its antipode, the
+    # cones over the faces of their common link, an octahedron: 1, 6, 12
+    # and 8 of them.  Its dual graph, the cube, is connected, so the forest
+    # clears 7 of the 12 triangles.
     homology(K)
-    assert shapes == [(f[i - 1], f[i] - r[i + 1]) for i in (2, 1)]
-    assert homology_module._reduction(K, 3).shape == (f[2], f[3])
+    assert shapes == [(6, 12 - 7), (1, 6 - 5)]
     assert homology(K, reduced=True).is_sphere(3)
     assert homology(K, "Z2", reduced=True).is_sphere(3)
     assert shapes[2:] == []
@@ -192,10 +196,14 @@ def test_reductions_memoized_once_per_map(monkeypatch):
     assert cohomology(K, reduced=True).is_sphere(3)
     assert shapes == [(f[1], f[0]), (f[2], f[1] - r[1]), (f[3], f[2] - r[2])]
     # a three-page book has a ridge in three facets, so its top map goes
-    # through SNF like the others
+    # through SNF like the others; it is the cone from vertex 1, whose
+    # star holds every face
     del shapes[:]
     homology(from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5)]))
-    assert shapes == [(7, 3), (5, 4)]
+    assert shapes == [(0, 0), (0, 0)]
+    del shapes[:]
+    homology(from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)]))
+    assert shapes == [(3, 1), (0, 2)]
 
 
 def _closed_pseudomanifolds():
@@ -219,9 +227,15 @@ def _closed_pseudomanifolds():
     return inputs
 
 
+def _pair_faces(K):
+    """Faces of the pair (K, st v) for the star vertex homology picks."""
+    return homology_module._outside_faces(K, homology_module._star_vertex(K))
+
+
 def test_top_map_of_closed_pseudomanifold_read_off_spanning_tree(monkeypatch):
-    # d_d of a closed pseudomanifold is the signed incidence matrix of its
-    # dual graph: f_d - 1 unit factors, and a 2 when it is non-orientable.
+    # The relative d_d of a closed pseudomanifold is the signed incidence
+    # matrix of the graph of outside facets and outside ridges: a unit
+    # factor per forest ridge, and a 2 when K is non-orientable.
     def no_snf(M):
         raise AssertionError(f"top map reduced by SNF, shape {M.shape}")
 
@@ -230,23 +244,24 @@ def test_top_map_of_closed_pseudomanifold_read_off_spanning_tree(monkeypatch):
     for K in _closed_pseudomanifolds():
         d = K.dimension
         assert K.is_closed_pseudomanifold().is_closed_pseudomanifold
-        got = homology_module._reduce(K, d, False)
-        full = boundary_matrix(K, d).matrix
-        assert got == smith_normal_form(full), K.facets
-        # the tree ridges are f_d - 1 rows whose block has det +-1 on f_d - 1
-        # columns: the unit pivots that clearing needs
-        rows = sorted(got.pivot_rows)
-        assert len(rows) == full.shape[1] - 1
-        block = SparseMatrix((len(rows), full.shape[1]), {k: full.rows[r] for k, r in enumerate(rows)})
-        assert smith_normal_form(block).invariant_factors == (1,) * len(rows), K.facets
-        assert K.is_orientable() == (2 not in got.invariant_factors)
-        twos.append(2 in got.invariant_factors)
+        faces = _pair_faces(K)
+        rows, cols = faces(d - 1), faces(d)
+        got, tree = homology_module._reduce(rows, cols, True)
+        full = homology_module._build_boundary(rows, cols)
+        assert got == smith_normal_form(full).invariant_factors, K.facets
+        # the forest ridges are rows whose block has a nonzero maximal minor
+        # of gcd 1: the unit pivots that clearing needs
+        index = {s: r for r, s in enumerate(rows)}
+        block = SparseMatrix((len(tree), len(cols)), {k: full.rows[index[s]] for k, s in enumerate(tree)})
+        assert smith_normal_form(block).invariant_factors == (1,) * len(tree), K.facets
+        assert got.count(2) == (not K.is_orientable()), K.facets
+        twos.append(2 in got)
     assert twos.count(True) >= 20 and twos.count(False) >= 400
 
 
 def test_top_map_of_other_complexes_goes_through_snf(monkeypatch):
-    # Only closed pseudomanifolds take the spanning-tree shortcut; the
-    # elimination handles the rest.
+    # Only closed pseudomanifolds take the forest shortcut; the elimination
+    # handles the rest, the relative top map first.
     shapes = []
     real = homology_module.smith_normal_form
 
@@ -267,11 +282,51 @@ def test_top_map_of_other_complexes_goes_through_snf(monkeypatch):
         with pytest.raises(NotPseudomanifoldError):
             K.is_orientable()
         del shapes[:]
-        got = homology_module._reduce(K, d, False)
-        full = boundary_matrix(K, d).matrix
-        assert shapes == [full.shape]
-        assert got == smith_normal_form(full), K.facets
         assert homology(K).groups == profile_per_map(K), K.facets
+        faces = _pair_faces(K)
+        assert shapes[0] == (len(faces(d - 1)), len(faces(d)))
+
+
+def _random_inputs(rng, n=2000):
+    """Seeded small complexes, with points, disjoint unions and non-pure ones among them."""
+    out = []
+    for k in range(n):
+        K = random_complex(rng)
+        if k % 10 == 0:
+            K = from_facets([(v,) for v in range(rng.randint(1, 5))])
+        elif k % 10 == 1:
+            L = random_complex(rng)
+            K = from_facets(K.facets + tuple(tuple(v + 20 for v in f) for f in L.facets))
+        out.append(K)
+    assert sum(K.dimension == 0 for K in out) >= n // 10
+    assert sum(not K.is_connected() for K in out) >= n // 10
+    assert sum(len({len(f) for f in K.facets}) > 1 for K in out) >= n // 4
+    return out
+
+
+def test_pair_homology_matches_per_map_oracle():
+    # H_*(K, st v) plus one free Z in degree 0 is H_*(K); the oracle reduces
+    # K's own maps, each in full, so it shares no face list with the pair.
+    rng = random.Random(26)
+    for K in _closed_pseudomanifolds() + _random_inputs(rng):
+        L = _relabelled(K, rng)
+        for coeff in ("Z", "Z2", "Z3"):
+            expected = profile_per_map(K, coeff)
+            assert homology(K, coeff).groups == expected, (K.facets, coeff)
+            assert homology(L, coeff).groups == expected, (L.facets, coeff)
+
+
+def test_pair_profile_does_not_depend_on_the_star_vertex(monkeypatch):
+    # Every vertex's closed star is a cone, so any of them gives the same profile.
+    inputs = _closed_pseudomanifolds()[: 10 + 3 * 29] + _random_inputs(random.Random(27), 100)
+    choices = 0
+    for K in inputs:
+        expected = profile_per_map(K)
+        for u in K.vertices:
+            monkeypatch.setattr(homology_module, "_star_vertex", lambda L, u=u: L._id_of[u])
+            assert homology(from_facets(K.facets)).groups == expected, (K.facets, u)
+            choices += 1
+    assert choices >= 1300
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,22 +339,24 @@ def test_top_map_of_other_complexes_goes_through_snf(monkeypatch):
 )
 def test_pruning_by_neighbour_pivots_keeps_invariant_factors(facets):
     # Columns that are unit pivot rows of the neighbouring map are integer
-    # combinations of the other columns, so dropping them changes nothing.
+    # combinations of the other columns, so dropping them changes nothing,
+    # in K and in the pair (K, st v) alike.
     K = from_facets(facets)
-    for i in range(1, K.dimension + 1):
-        full = boundary_matrix(K, i).matrix
-        if i < K.dimension:
-            above = smith_normal_form(boundary_matrix(K, i + 1).matrix)
-            pruned = homology_module._build_boundary(K, i, above.pivot_rows)
-            assert pruned.shape[1] == full.shape[1] - len(above.pivot_rows)
-            got = smith_normal_form(pruned).invariant_factors
-            assert got == smith_normal_form(full).invariant_factors, (facets, i)
-        if i >= 2:
-            below = smith_normal_form(boundary_matrix(K, i - 1).matrix.transpose())
-            pruned = homology_module._build_boundary(K, i, below.pivot_rows, clear_rows=True)
-            assert pruned.shape[0] == full.shape[0] - len(below.pivot_rows)
-            got = smith_normal_form(pruned.transpose()).invariant_factors
-            assert got == smith_normal_form(full.transpose()).invariant_factors, (facets, i)
+    build = homology_module._build_boundary
+    for faces in (K._ifaces, _pair_faces(K)):
+        for i in range(1, K.dimension + 1):
+            rows, cols = faces(i - 1), faces(i)
+            full = smith_normal_form(build(rows, cols)).invariant_factors
+            if i < K.dimension:
+                above = smith_normal_form(build(cols, faces(i + 1))).pivot_rows
+                pruned = build(rows, [s for r, s in enumerate(cols) if r not in above])
+                assert pruned.shape[1] == len(cols) - len(above)
+                assert smith_normal_form(pruned).invariant_factors == full, (facets, i)
+            if i >= 2:
+                below = smith_normal_form(build(faces(i - 2), rows).transpose()).pivot_rows
+                pruned = build([s for r, s in enumerate(rows) if r not in below], cols)
+                assert pruned.shape[0] == len(rows) - len(below)
+                assert smith_normal_form(pruned.transpose()).invariant_factors == full, (facets, i)
 
 
 def _clearing_complexes():
@@ -332,15 +389,14 @@ def test_clearing_matches_per_map_oracle():
 
 def _drop_one_rank(monkeypatch):
     """Make the degree-1 coboundary SNF report one invariant factor too few."""
-    real = homology_module._reduction
+    real = homology_module._coboundaries
 
-    def broken(K, i, transposed=False):
-        res = real(K, i, transposed)
-        if transposed and i == 1:
-            return SNFResult(res.shape, res.invariant_factors[1:], res.pivot_rows)
-        return res
+    def broken(K):
+        sizes, factors = real(K)
+        factors[1] = factors[1][1:]
+        return sizes, factors
 
-    monkeypatch.setattr(homology_module, "_reduction", broken)
+    monkeypatch.setattr(homology_module, "_coboundaries", broken)
 
 
 def test_cohomology_cross_check_raises(monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 
 import pytest
@@ -324,9 +325,10 @@ def test_forged_certificates_rejected():
         # A forged degree is rejected before anything of that size is built.
         ("perfect-and-nontrivial-quotient", trivial, {"degree": 10**15, "images": ((1, 0),)}),
     ]
+    verdicts = []
     for kind, Q, fields in forged:
         cert = {"kind": kind, "presentation": Q, **fields}
-        assert validate_not_free_certificate(FreenessVerdict("NOT_FREE", None, kind, cert, Q)) is False
+        verdicts.append(FreenessVerdict("NOT_FREE", None, kind, cert, Q))
     kind = "torsion-in-H1"
     for cert in (
         {"kind": kind, "torsion": (2,)},
@@ -334,7 +336,12 @@ def test_forged_certificates_rejected():
         [("kind", kind), ("torsion", (2,)), ("presentation", z2)],
         "torsion 2",
     ):
-        assert validate_not_free_certificate(FreenessVerdict("NOT_FREE", None, kind, cert, z2)) is False
+        verdicts.append(FreenessVerdict("NOT_FREE", None, kind, cert, z2))
+    for verdict in verdicts:
+        assert validate_not_free_certificate(verdict) is False
+        # a forged record still serializes, so it can be logged before it is checked
+        d = verdict.as_dict()
+        assert json.loads(json.dumps(d)) == d
     # the well-formed torsion certificate still validates
     cert = {"kind": kind, "torsion": (2,), "presentation": z2}
     assert validate_not_free_certificate(FreenessVerdict("NOT_FREE", None, kind, cert, z2))

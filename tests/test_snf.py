@@ -130,6 +130,41 @@ def test_many_torsion_factors_from_abelianization():
     assert ab.rank == 0 and ab.torsion == (2,) * (n - 2) + (6,)
 
 
+def _lone_entry_matrices(rng, n):
+    """Seeded matrices with many entries alone in their row and column.
+
+    Diagonal ones, block-diagonal ones with small dense blocks, and plain
+    random ones, all with shuffled rows and columns.
+    """
+    out = []
+    for k in range(n):
+        if k % 3 == 0:
+            blocks = [[[rng.choice((0, 1, -1, 2, -2, 3, 4, -6, 12))]] for _ in range(rng.randint(1, 6))]
+        elif k % 3 == 1:
+            blocks = [random_matrix(rng, max_dim=2, lo=-6, hi=6) for _ in range(rng.randint(1, 3))]
+        else:
+            blocks = [random_matrix(rng, max_dim=5, lo=-6, hi=6)]
+        width = sum(len(b[0]) for b in blocks)
+        M, left = [], 0
+        for b in blocks:
+            M += [[0] * left + row + [0] * (width - left - len(row)) for row in b]
+            left += len(b[0])
+        rng.shuffle(M)
+        cols = rng.sample(range(width), width)
+        out.append([[row[j] for j in cols] for row in M])
+    return out
+
+
+def test_lone_entries_and_divided_diagonals_match_oracles():
+    # Entries alone in their row and column are recorded before the
+    # Euclid residual, and a sorted diagonal that divides up skips the
+    # gcd/lcm pass; neither may change the invariant factors.
+    for M in _lone_entry_matrices(random.Random(1600), 240):
+        got = smith_normal_form(M).invariant_factors
+        assert got == snf_invariant_factors_naive(M), M
+        assert got == determinantal_divisor_factors(M), M
+
+
 def _boundary_matrices(K):
     return [boundary_matrix(K, i).matrix for i in range(1, K.dimension + 1)]
 
