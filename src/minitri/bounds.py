@@ -273,6 +273,9 @@ def analyze(
     nontrivial = None
     if fv.status == "NOT_FREE" or (fv.status == "FREE" and fv.rank > 0):
         nontrivial = "verified"
+    elif prof.betti(1) > 0:
+        # pi_1 maps onto H_1, so a free summand there makes it nontrivial
+        nontrivial = "verified (H1)"
     elif pi1_assert == "not-free":
         nontrivial = "asserted"
 

@@ -130,18 +130,19 @@ def _find(parent, x):
     return x
 
 
-def _dual_forest(top, d):
+def _dual_forest(top, d, skip):
     """``(paired, tree, odd)`` from one parity union-find over the ridges of ``top``.
 
     ``top`` holds sorted d-faces, the nodes of the dual graph; its edges
-    are the ridges that lie in two of them.  Node 2*idx + b means "facet
-    idx has sign (-1)^b", so the low bit is the parity and path halving
-    carries it.  The ridge omitting f[p] has sign (-1)^p in f: node a is
+    are the ridges not in ``skip`` that lie in two of them.  Node
+    2*idx + b means "facet idx has sign (-1)^b", so the low bit is the
+    parity and path halving carries it.  The ridge omitting f[p] has sign (-1)^p in f: node a is
     "f induces +", so the other facet b must induce -.  ``tree`` lists the
     ridges that joined two components, a spanning forest; each component
     is mirrored by the one holding the opposite nodes.  ``odd`` counts the
     components with a ridge whose facets, signed along the forest, induce
-    the same orientation on it.  ``paired``: every ridge is in two faces.
+    the same orientation on it.  ``paired``: every ridge not skipped is in
+    two faces.
     """
     parent = list(range(2 * len(top)))
     first = {}  # ridge -> node of its first facet, stored as ~node once a second one meets it
@@ -150,6 +151,8 @@ def _dual_forest(top, d):
     wrong = []
     for idx, f in enumerate(top):
         for j, ridge in enumerate(itertools.combinations(f, d)):
+            if ridge in skip:
+                continue
             a = 2 * idx + ((d - j) & 1)  # combinations omits f[d], f[d-1], ..., f[0]
             b = first.setdefault(ridge, a)
             if b == a:
@@ -380,7 +383,7 @@ class SimplicialComplex:
         if d < 1:
             raise DimensionError("pseudomanifold check needs a complex of dimension >= 1")
         top = [f for f in self._id_facets if len(f) == d + 1]
-        paired, tree, odd = _dual_forest(top, d)
+        paired, tree, odd = _dual_forest(top, d, ())
         report = PseudomanifoldReport(
             dimension=d,
             pure=len(top) == len(self._id_facets),

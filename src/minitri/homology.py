@@ -19,12 +19,27 @@ free, and leaves every other group as it is.  The empty complex has a
 single reduced group Z in dimension -1, which keeps duality bookkeeping
 uniform.
 
-Homology reduces the maps of the pair (K, st v), v being the vertex in
-the most facets (lowest id on ties).  The closed star st v = v * lk v
-is a cone, hence contractible, so the exact sequence of the pair gives
-H_i(K) = H_i(K, st v) for i >= 1 and H_0(K) = H_0(K, st v) + Z.  The
-relative chains are spanned by the faces outside the star: the faces of
-the facets without v, minus the faces of lk v.
+Homology reduces the maps of the pair (K, B), B a contractible union of
+facets.  B starts as the closed star st v = v * lk v, v being the
+vertex in the most facets (lowest id on ties); st v is a cone, hence
+contractible.  B then grows in passes over the other facets in id order
+until a pass adds nothing: the shelling-like growth behind the random
+discrete Morse reductions of Benedetti and Lutz (arXiv:1303.6422), made
+deterministic and done facet by facet.  A facet F joins when X, the set
+of vertices of F opposite its ridges in B, has 1 <= |X| < |F| and is
+not a face of B.  A face of F in B cannot hold all of X, since B is
+closed under faces, so it misses some x in X and lies in the ridge
+F - x, which is in B.  So F meets B in the union of the ridges F - x,
+x in X.  Each of them holds every vertex of F - X, which is not empty: the
+union is a cone on any such vertex, hence contractible, and so is B
+with F added.  The exact sequence of the pair gives H_i(K) = H_i(K, B)
+for i >= 1 and H_0(K) = H_0(K, B) + Z.  The relative chains are spanned
+by the faces of the facets left over that are not in B.  B's faces are
+kept in one set, less those through v: no face of a facet without v is
+one of them.  The faces of F outside B are exactly those that hold all
+of X, so only they are added when F joins.  On the boundaries of
+simplices, cross polytopes and the cyclic polytopes of the ladder, B
+takes every facet but one, whose proper faces all lie in B.
 
 The maps are reduced top degree first, and cleared: every i-face that
 is a unit pivot row of d_{i+1} is left out as a column of d_i (Chen and
@@ -41,23 +56,26 @@ hence its rank and invariant factors, is unchanged.  Only the unit
 pivots of ``snf``'s first phase clear; pivots of its Euclid residual do
 not.  Each map is built with the cleared faces already left out.
 
-The top map d_d of a closed pseudomanifold (d >= 1) is not eliminated.
-A facet through an outside ridge that contained v would put the ridge
-in the star, so an outside ridge lies in exactly two facets, both
-outside: the relative d_d is the signed incidence matrix of the graph
-whose nodes are the outside facets and whose edges are the outside
-ridges.  Let T be the ridges of a spanning forest.  In each tree a leaf
-other than the root lies on one ridge of T; expanding along its column
-and removing it shows det d_d[T, C] = +-1, C being the facets other
-than the roots.  So the ridges of T are unit pivots, which clear d_{d-1}
-as the pivot rows of an elimination do.  Pivoting them out signs each
-facet relative to its root and leaves one column per tree: in the row
-of a ridge outside T the entry is 0 when its two facets, so signed,
-induce opposite orientations on it, and +-2 when they induce the same.
-So the invariant factors are a 1 per ridge of T and a 2 per tree with
-such a ridge.  One parity union-find (``complexes._dual_forest``) gives
-the forest and the 2s; the same walk over all of K's top facets gives
-the closed-pseudomanifold report that decides the shortcut.
+The top map d_d (d >= 1) is read off a forest, not eliminated, when
+every outside ridge of an outside facet lies in exactly two outside
+facets.  The rule is local: a ridge in a facet of B is in B, so only
+the outside facets are looked at, and K need not be a closed
+pseudomanifold (where the rule always holds).  The relative d_d is then
+the signed incidence matrix of the graph whose nodes are the outside
+facets and whose edges are those ridges; an outside (d-1)-face in no
+d-face gives a zero row.  Let T be the ridges of a spanning forest.  In
+each tree a leaf other than the root lies on one ridge of T; expanding
+along its column and removing it shows det d_d[T, C] = +-1, C being the
+facets other than the roots.  So the ridges of T are unit pivots, which
+clear d_{d-1} as the pivot rows of an elimination do.  Pivoting them
+out signs each facet relative to its root and leaves one column per
+tree: in the row of a ridge outside T the entry is 0 when its two
+facets, so signed, induce opposite orientations on it, and +-2 when
+they induce the same.  So the invariant factors are a 1 per ridge of T
+and a 2 per tree with such a ridge.  One parity union-find over the
+outside facets that skips the ridges in B (``complexes._dual_forest``)
+gives the forest and the 2s, and tells whether every ridge it met lay
+in two facets; otherwise d_d goes through SNF like the other maps.
 
 Cohomology over Z reduces K's own transposed maps bottom-up and clears
 with their unit pivots (de Silva, Morozov and Vejdemo-Johansson,
@@ -65,7 +83,7 @@ arXiv:1107.5665): d_{i-1}^T's pivot rows, which are (i-1)-faces, are
 left out as rows of d_i, which is then transposed.  Cohomology is then
 checked against homology via universal coefficients.  The two sides
 reduce different chain complexes and share no pivot, so the check is a
-real one, and it checks the star reduction and the forest as well.  A
+real one, and it checks the pair (K, B) and the forest as well.  A
 failed check raises CrossCheckError.
 
 Profiles are memoized on the complex.  The face lists of the pair and
@@ -216,55 +234,70 @@ def boundary_matrix(K: SimplicialComplex, i: int, reduced: bool = False) -> Boun
 
 
 def _star_vertex(K):
-    """The vertex in the most facets, lowest id on ties: the cone point of the pair."""
+    """The vertex in the most facets, lowest id on ties: B starts as its closed star."""
     counts = Counter(chain.from_iterable(K._id_facets))
     return min(counts, key=lambda u: (-counts[u], u))
 
 
-def _outside_faces(K, v):
-    """The i-faces of K outside the closed star of v, as a function of i.
+def _attach(K):
+    """The facets left outside B, and the set of B's faces without the star vertex.
 
-    They are the faces of the facets without v, minus the faces of lk v.
+    B starts as the closed star of ``_star_vertex(K)``.  A facet F joins
+    when X, the vertices of F opposite its ridges in B, has 1 <= |X| < |F|
+    and is not itself a face of B; passes over the other facets in id
+    order repeat until one adds nothing.  The faces of F outside B are
+    those that hold all of X, so only they are added.
     """
-    outside = [f for f in K._id_facets if v not in f]
-    link = [tuple(u for u in f if u != v) for f in K._id_facets if v in f]
-
-    def faces(i):
-        star = {s for g in link for s in combinations(g, i + 1)}
-        return [s for s in _faces(outside, i) if s not in star]
-
-    return faces
-
-
-def _reduce(rows, cols, forest):
-    """Invariant factors of the map from ``cols`` to ``rows``, and its unit pivot rows.
-
-    ``forest``: the map is a closed pseudomanifold's relative top map.
-    """
-    if forest:
-        _, tree, odd = _dual_forest(cols, len(cols[0]) - 1)
-        return (1,) * len(tree) + (2,) * odd, set(tree)
-    snf = smith_normal_form(_build_boundary(rows, cols))
-    return snf.invariant_factors, {rows[r] for r in snf.pivot_rows}
+    v = _star_vertex(K)
+    inside = set()
+    rest = []
+    for f in K._id_facets:
+        if v in f:
+            # only faces without v are ever looked up: those of lk v
+            g = tuple(u for u in f if u != v)
+            inside.update(s for k in range(1, len(f)) for s in combinations(g, k))
+        else:
+            rest.append(f)
+    grown = True
+    while grown:
+        grown = False
+        left = []
+        for f in rest:
+            x = tuple(u for j, u in enumerate(f) if f[:j] + f[j + 1 :] in inside)
+            if 0 < len(x) < len(f) and x not in inside:
+                free = [u for u in f if u not in x]
+                inside.update(
+                    tuple(sorted(x + s)) for k in range(len(free) + 1) for s in combinations(free, k)
+                )
+                grown = True
+            else:
+                left.append(f)
+        rest = left
+    return rest, inside
 
 
 def _relative(K):
-    """Face counts and invariant factors of d_1..d_d for the pair (K, st v).
+    """Face counts and invariant factors of d_1..d_d for the pair (K, B).
 
     The maps are reduced top-down, each without the columns that are
     unit pivot rows of the one above.  H_0(K) has one free Z more than
-    H_0(K, st v), counted as one more 0-face.
+    H_0(K, B), counted as one more 0-face.
     """
     d = K.dimension
-    faces = _outside_faces(K, _star_vertex(K))
+    rest, inside = _attach(K)
     sizes, factors = [0] * (d + 1), [()] * (d + 2)
-    cols = faces(d)
+    cols = [f for f in rest if len(f) == d + 1]
     sizes[d] = len(cols)
     for i in range(d, 0, -1):
-        rows = faces(i - 1)
+        rows = [s for s in _faces(rest, i - 1) if s not in inside]
         sizes[i - 1] = len(rows)
-        forest = i == d and K.is_closed_pseudomanifold().is_closed_pseudomanifold
-        factors[i], pivots = _reduce(rows, cols, forest)
+        # the forest, when each outside ridge it meets lies in two outside facets
+        paired, tree, odd = _dual_forest(cols, d, inside) if i == d else (False, (), 0)
+        if paired:
+            factors[i], pivots = (1,) * len(tree) + (2,) * odd, set(tree)
+        else:
+            snf = smith_normal_form(_build_boundary(rows, cols))
+            factors[i], pivots = snf.invariant_factors, {rows[r] for r in snf.pivot_rows}
         cols = [s for s in rows if s not in pivots]
     sizes[0] += 1
     return sizes, factors

@@ -201,6 +201,30 @@ def suspension(K, a, b):
     )
 
 
+def staircase_product(K, L):
+    """K x L, one facet per monotone lattice path through each pair of facets.
+
+    Vertices are ordered by id (Eilenberg and Zilber, "On products of
+    complexes", 1953): facets (a_0 < ... < a_p) of K and (b_0 < ... < b_q)
+    of L give the paths from (a_0, b_0) to (a_p, b_q) that step one index
+    at a time, so the simplices of the two prisms agree where they meet.
+    The vertex (a, b) of ids is labelled a * n + b, n being L's vertex count.
+    """
+    n = L.n_vertices
+    facets = []
+    for f in K._id_facets:
+        for g in L._id_facets:
+            steps = len(f) + len(g) - 2
+            for up in combinations(range(steps), len(f) - 1):
+                i = j = 0
+                path = [f[0] * n + g[0]]
+                for t in range(steps):
+                    i, j = (i + 1, j) if t in up else (i, j + 1)
+                    path.append(f[i] * n + g[j])
+                facets.append(path)
+    return from_facets(facets)
+
+
 def _drop_generator(relators, target):
     # Reindex generators above `target` down by one.
     def shift(g):

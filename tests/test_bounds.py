@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from minitri import fixtures
@@ -9,9 +12,12 @@ from minitri.bounds import (
     simply_connected_bound,
     sphere_recognition_threshold,
 )
+from minitri.complexes import from_facets
 from minitri.errors import HypothesisError, NotPseudomanifoldError
+from minitri.homology import homology
 
-from oracles import suspension
+from oracles import staircase_product, suspension
+from test_complexes import _benchmark_corpus
 
 
 def test_cat_vertex_bound():
@@ -206,8 +212,6 @@ def test_analyze_verified_bounds_never_exceed_vertex_count():
 
 
 def test_analyze_requires_pseudomanifold():
-    from minitri.complexes import from_facets
-
     with pytest.raises(NotPseudomanifoldError):
         analyze(from_facets([(1, 2, 3), (3, 4)]))
 
@@ -221,9 +225,42 @@ def test_analyze_unknown_pi1_stays_quiet():
     assert "sphere-recognition" not in rules
 
 
-def test_reports_serialize():
-    import json
+def test_analyze_free_h1_verifies_nonsimply_connected():
+    # T^2 x S^1: pi_1 = Z^3 is not free, but no certificate of that is
+    # found, so only H_1 = Z^3 shows pi_1 is nontrivial.
+    circle = from_facets([(0, 1), (1, 2), (0, 2)])
+    T3 = staircase_product(staircase_product(circle, circle), circle)
+    assert T3.is_closed_pseudomanifold().is_closed_pseudomanifold
+    assert homology(T3).groups == ((0, 1, ()), (1, 3, ()), (2, 3, ()), (3, 1, ()))
+    rules = {r.rule: r for r in analyze(T3)}
+    assert rules["pi1-status"].details["computed"] == "UNKNOWN"
+    base = rules["nonsimply-connected-baseline"]
+    assert base.hypotheses == {"d": 3, "pi1_nontrivial": "verified (H1)"}
+    assert base.bound == 9 <= T3.n_vertices == 27
+    assert not any(f.startswith("contradiction") for f in base.flags)
+    # a verified H_1 outranks an assertion
+    rules = {r.rule: r for r in analyze(T3, {"pi1": "not-free"})}
+    assert rules["nonsimply-connected-baseline"].hypotheses["pi1_nontrivial"] == "verified (H1)"
 
+
+def test_analyze_output_unchanged_where_h1_is_zero_or_d_below_3():
+    # The H_1 rule adds a report only for d >= 3 and betti_1 > 0.  None of
+    # these inputs has both, so their analyze output is pinned byte for
+    # byte: the SHA-256 of the JSON below, as it was before the rule.
+    inputs = (
+        [fixtures.boundary_simplex(d) for d in range(1, 7)]
+        + [fixtures.cross_polytope(d) for d in range(1, 7)]
+        + [fixtures.cyclic_polytope(9, 4), fixtures.cyclic_polytope(16, 6)]
+        + [fixtures.rp2_6(), fixtures.torus_7(), fixtures.cp2_9()]
+        + [K for seed in (1, 2, 3) for K in _benchmark_corpus(seed)]
+    )
+    assert all(K.dimension < 3 or homology(K).betti(1) == 0 for K in inputs)
+    payload = json.dumps([[r.as_dict() for r in analyze(K)] for K in inputs], sort_keys=True)
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    assert digest == "b009e2e7abcd80fc43a373dd7e2a08a2e5f4147abeab63775c751a6c90a07ba8"
+
+
+def test_reports_serialize():
     payload = [r.as_dict() for r in analyze(fixtures.rp2_6())]
     json.dumps(payload)
     assert all("rule" in d and "verdict" in d for d in payload)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from minitri import facetio, fixtures
 from minitri.bounds import homology_sphere_verdict
 from minitri.cli import main
-from minitri.complexes import from_facets
+from minitri.complexes import SimplicialComplex, _dual_forest, _faces, from_facets
 from minitri.errors import CoefficientError, CrossCheckError, DimensionError, NotPseudomanifoldError
 from minitri.homology import (
     boundary_matrix,
@@ -160,13 +161,13 @@ def test_wide_cross_polytope_is_sphere(d):
 
 
 def test_reductions_memoized_once_per_map(monkeypatch):
-    # Homology reduces the maps of the pair (K, st v) top-down: each map
+    # Homology reduces the maps of the pair (K, B) top-down: each map
     # loses the columns that are unit pivot rows of the map above it.  The
-    # top map of a closed pseudomanifold is read off the forest of its
-    # outside facets, with no SNF call.  Cohomology reduces K's transposed
-    # maps bottom-up with its own pivots, so d_i^T is reduced as
-    # f_i x (f_{i-1} - r_{i-1}).  Reduced profiles are read off the
-    # unreduced ones: no augmented map.
+    # top map is read off the forest of the outside facets when every
+    # outside ridge lies in two of them, with no SNF call.  Cohomology
+    # reduces K's transposed maps bottom-up with its own pivots, so d_i^T
+    # is reduced as f_i x (f_{i-1} - r_{i-1}).  Reduced profiles are read
+    # off the unreduced ones: no augmented map.
     shapes = []
     real = homology_module.smith_normal_form
 
@@ -182,12 +183,21 @@ def test_reductions_memoized_once_per_map(monkeypatch):
     for i in (2, 1):
         r[i] = f[i] - r[i + 1]
     assert f[0] - r[1] == 1
-    # Outside the star of vertex 0 lie the faces through its antipode, the
-    # cones over the faces of their common link, an octahedron: 1, 6, 12
-    # and 8 of them.  Its dual graph, the cube, is connected, so the forest
-    # clears 7 of the 12 triangles.
+    # B starts as the star of id 0, whose link is the octahedron on the six
+    # vertices other than 0 and its antipode a.  The other eight facets are
+    # a * t, t picking one vertex from each of the octahedron's three
+    # antipodal pairs; in id order t runs through the picks as a binary
+    # count, the lower id of each pair first.  The ridge a * (t - w) is
+    # already in B just when w is the higher id of its pair, as the facet
+    # with the lower one came first.  So X is a plus t's higher picks, which
+    # lie in no earlier facet: every facet joins but the last, whose X has
+    # all 4 vertices.  Its proper faces all lie in other facets, hence in
+    # B, so the pair has one outside face, in degree 3.  The forest has no
+    # ridge, and d_2 and d_1 are empty maps.
+    rest, _ = homology_module._attach(K)
+    assert len(rest) == 1 and _pair_faces(K)(2) == []
     homology(K)
-    assert shapes == [(6, 12 - 7), (1, 6 - 5)]
+    assert shapes == [(0, 0), (0, 0)]
     assert homology(K, reduced=True).is_sphere(3)
     assert homology(K, "Z2", reduced=True).is_sphere(3)
     assert shapes[2:] == []
@@ -195,12 +205,16 @@ def test_reductions_memoized_once_per_map(monkeypatch):
     cohomology(K)
     assert cohomology(K, reduced=True).is_sphere(3)
     assert shapes == [(f[1], f[0]), (f[2], f[1] - r[1]), (f[3], f[2] - r[2])]
-    # a three-page book has a ridge in three facets, so its top map goes
-    # through SNF like the others; it is the cone from vertex 1, whose
-    # star holds every face
+    # a three-page book is the cone from vertex 1, whose star holds every
+    # face: the top map has no column, so the forest reads it, and only
+    # the empty d_1 goes through SNF
     del shapes[:]
     homology(from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5)]))
-    assert shapes == [(0, 0), (0, 0)]
+    assert shapes == [(0, 0)]
+    # with the triangle 3 4 5 added, B is still the star of 1 (the pages):
+    # no edge of 3 4 5 is in it, so 3 4 5 joins nothing.  Its three edges
+    # lie in one outside facet each, so the top map (3 x 1) goes through
+    # SNF, and its one unit pivot clears an edge from the 0 x 3 map below.
     del shapes[:]
     homology(from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)]))
     assert shapes == [(3, 1), (0, 2)]
@@ -227,26 +241,54 @@ def _closed_pseudomanifolds():
     return inputs
 
 
+def _fixtures():
+    """Every fixture family, the ladder's polytopal spheres up to d = 7 included."""
+    return (
+        [fixtures.boundary_simplex(d) for d in range(1, 7)]
+        + [fixtures.cross_polytope(d) for d in range(2, 8)]
+        + [fixtures.cyclic_polytope(9, 4), fixtures.cyclic_polytope(16, 6)]
+        + [fixtures.rp2_6(), fixtures.torus_7(), fixtures.cp2_9()]
+    )
+
+
 def _pair_faces(K):
-    """Faces of the pair (K, st v) for the star vertex homology picks."""
-    return homology_module._outside_faces(K, homology_module._star_vertex(K))
+    """Faces of the pair (K, B) for the B that homology grows, as a function of the degree."""
+    rest, inside = homology_module._attach(K)
+    return lambda i: [s for s in _faces(rest, i) if s not in inside]
+
+
+def _recording_builds(monkeypatch):
+    """The column lists of every boundary matrix homology builds from now on."""
+    built = []
+    real = homology_module._build_boundary
+
+    def recording(rows, cols):
+        built.append(cols)
+        return real(rows, cols)
+
+    monkeypatch.setattr(homology_module, "_build_boundary", recording)
+    return built
 
 
 def test_top_map_of_closed_pseudomanifold_read_off_spanning_tree(monkeypatch):
-    # The relative d_d of a closed pseudomanifold is the signed incidence
-    # matrix of the graph of outside facets and outside ridges: a unit
-    # factor per forest ridge, and a 2 when K is non-orientable.
-    def no_snf(M):
-        raise AssertionError(f"top map reduced by SNF, shape {M.shape}")
-
-    monkeypatch.setattr(homology_module, "smith_normal_form", no_snf)
+    # In a closed pseudomanifold an outside ridge lies in two facets, and
+    # both are outside B, since a facet of B would put the ridge in B.  So
+    # the relative d_d is the signed incidence matrix of the graph of
+    # outside facets and outside ridges: a unit factor per forest ridge,
+    # and a 2 when K is non-orientable.  homology never builds it.
+    built = _recording_builds(monkeypatch)
     twos = []
     for K in _closed_pseudomanifolds():
         d = K.dimension
         assert K.is_closed_pseudomanifold().is_closed_pseudomanifold
+        del built[:]
+        homology(from_facets(K.facets))
+        assert all(len(s) < d + 1 for cols in built for s in cols), K.facets
         faces = _pair_faces(K)
         rows, cols = faces(d - 1), faces(d)
-        got, tree = homology_module._reduce(rows, cols, True)
+        paired, tree, odd = _dual_forest(cols, d, homology_module._attach(K)[1])
+        assert paired, K.facets
+        got = (1,) * len(tree) + (2,) * odd
         full = homology_module._build_boundary(rows, cols)
         assert got == smith_normal_form(full).invariant_factors, K.facets
         # the forest ridges are rows whose block has a nonzero maximal minor
@@ -259,9 +301,12 @@ def test_top_map_of_closed_pseudomanifold_read_off_spanning_tree(monkeypatch):
     assert twos.count(True) >= 20 and twos.count(False) >= 400
 
 
-def test_top_map_of_other_complexes_goes_through_snf(monkeypatch):
-    # Only closed pseudomanifolds take the forest shortcut; the elimination
-    # handles the rest, the relative top map first.
+def test_top_map_takes_the_forest_by_the_local_rule(monkeypatch):
+    # The forest reads the top map whenever every outside ridge of an
+    # outside facet lies in exactly two of them, whether or not K is a
+    # closed pseudomanifold; an outside (d-1)-face in no outside facet is
+    # a zero row.  An outside ridge in one or three outside facets sends
+    # the top map through SNF, as the first map eliminated.
     shapes = []
     real = homology_module.smith_normal_form
 
@@ -270,21 +315,40 @@ def test_top_map_of_other_complexes_goes_through_snf(monkeypatch):
         return real(M)
 
     monkeypatch.setattr(homology_module, "smith_normal_form", counting)
+    built = _recording_builds(monkeypatch)
     sphere = fixtures.boundary_simplex(2).facets  # on vertices 0..3
-    inputs = [
+    forest = [
         from_facets(list(sphere) + [tuple(v + 3 for v in f) for f in sphere]),  # pinched at 3
         from_facets(list(sphere) + [tuple(v + 10 for v in f) for f in sphere]),  # disjoint
-        from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5)]),  # a three-page book
-        from_facets([(1, 2, 3), (1, 3, 4), (1, 4, 5)]),  # a disk
+        from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5)]),  # a three-page book, a cone
+        from_facets([(1, 2, 3), (1, 3, 4), (1, 4, 5)]),  # a disk, a cone
+        from_facets(list(sphere) + [(5, 6)]),  # a free edge, in no triangle: a zero row
     ]
-    for K in inputs:
+    # In both, B is the star of vertex 0, and the sphere's triangle 1 2 3
+    # has every edge in B.  A free triangle has three edges in one outside
+    # facet each: the 3 x 2 top map has rank 1 and leaves 3 - 1 edges on
+    # the three outside vertices.  A three-page book's spine lies in three
+    # outside facets: the 7 x 4 top map (the spine and six free edges, the
+    # sphere's triangle and the pages) has rank 3, and 7 - 3 edges remain
+    # on the book's five vertices.
+    through_snf = [
+        (from_facets(list(sphere) + [(5, 6, 7)]), [(3, 2), (3, 2)]),
+        (from_facets(list(sphere) + [(11, 12, 13), (11, 12, 14), (11, 12, 15)]), [(7, 4), (5, 4)]),
+    ]
+    for K, expected in [(K, None) for K in forest] + through_snf:
         d = K.dimension
         with pytest.raises(NotPseudomanifoldError):
             K.is_orientable()
-        del shapes[:]
-        assert homology(K).groups == profile_per_map(K), K.facets
-        faces = _pair_faces(K)
-        assert shapes[0] == (len(faces(d - 1)), len(faces(d)))
+        expected_groups = profile_per_map(K)
+        del shapes[:], built[:]
+        assert homology(from_facets(K.facets)).groups == expected_groups, K.facets
+        top_built = [cols for cols in built if any(len(s) == d + 1 for s in cols)]
+        if expected is None:
+            assert top_built == [], K.facets
+        else:
+            faces = _pair_faces(K)
+            assert top_built == [faces(d)]
+            assert shapes == expected == [(len(faces(d - 1)), len(faces(d))), expected[1]], K.facets
 
 
 def _random_inputs(rng, n=2000):
@@ -305,15 +369,70 @@ def _random_inputs(rng, n=2000):
 
 
 def test_pair_homology_matches_per_map_oracle():
-    # H_*(K, st v) plus one free Z in degree 0 is H_*(K); the oracle reduces
+    # H_*(K, B) plus one free Z in degree 0 is H_*(K); the oracle reduces
     # K's own maps, each in full, so it shares no face list with the pair.
+    # Cohomology reduces K's own maps and is checked against homology.
     rng = random.Random(26)
-    for K in _closed_pseudomanifolds() + _random_inputs(rng):
+    corpus = [K for seed in (1, 2, 3, 4) for K in _benchmark_corpus(seed)]
+    for K in _fixtures() + corpus + _random_inputs(rng):
         L = _relabelled(K, rng)
-        for coeff in ("Z", "Z2", "Z3"):
-            expected = profile_per_map(K, coeff)
-            assert homology(K, coeff).groups == expected, (K.facets, coeff)
-            assert homology(L, coeff).groups == expected, (L.facets, coeff)
+        for kind in (homology, cohomology):
+            for coeff in ("Z", "Z2", "Z3", "Z5"):
+                expected = profile_per_map(K, coeff, kind=kind.__name__)
+                assert kind(K, coeff).groups == expected, (K.facets, coeff, kind.__name__)
+                assert kind(L, coeff).groups == expected, (L.facets, coeff, kind.__name__)
+
+
+def test_homology_never_walks_the_ridges_of_k(monkeypatch):
+    # The forest shortcut is decided by the walk over the outside facets
+    # alone, so homology needs no closed-pseudomanifold report of K.
+    inputs = [from_facets(K.facets) for K in _fixtures() + _closed_pseudomanifolds()]
+
+    def no_walk(self):
+        raise AssertionError("homology walked the ridges of K")
+
+    monkeypatch.setattr(SimplicialComplex, "_ridge_walk", no_walk)
+    for K in inputs:
+        for coeff in ("Z", "Z2"):
+            homology(K, coeff, reduced=True)
+
+
+def test_attached_subcomplex_is_contractible():
+    # B grows from a cone, and each facet it takes meets it in a cone on a
+    # vertex, so B has trivial reduced homology; the oracle reduces B's own
+    # maps in full.  The set homology keeps holds exactly B's faces without
+    # the star vertex, the only ones ever looked up.
+    corpus = [K for seed in (1, 2, 3) for K in _benchmark_corpus(seed)]
+    inputs = _fixtures() + corpus + _random_inputs(random.Random(26))
+    grew = 0
+    for K in inputs:
+        v = homology_module._star_vertex(K)
+        rest, inside = homology_module._attach(K)
+        attached = [f for f in K._id_facets if f not in set(rest)]
+        assert all(f in attached for f in K._id_facets if v in f), K.facets
+        grew += len(attached) > sum(v in f for f in K._id_facets)
+        faces = {s for f in attached for k in range(1, len(f) + 1) for s in combinations(f, k)}
+        assert inside == {s for s in faces if v not in s}, K.facets
+        B = from_facets([K._to_labels(f) for f in attached])
+        assert profile_per_map(B, reduced=True) == (), K.facets
+    assert grew >= 100
+
+
+def test_polytopal_spheres_leave_one_facet_outside():
+    # A count, not a time: on these shellable spheres B takes every facet
+    # but one, in id order and under relabelling alike, so homology
+    # eliminates one top face and no matrix below it.
+    rng = random.Random(27)
+    spheres = (
+        [fixtures.boundary_simplex(d) for d in range(1, 7)]
+        + [fixtures.cross_polytope(d) for d in range(2, 8)]
+        + [fixtures.cyclic_polytope(9, 4), fixtures.cyclic_polytope(16, 6)]
+    )
+    for K in spheres:
+        for L in (K, _relabelled(K, rng), _relabelled(K, rng)):
+            rest, _ = homology_module._attach(L)
+            assert len(rest) == 1, (K, L.facets)
+            assert all(_pair_faces(L)(i) == [] for i in range(L.dimension))
 
 
 def test_pair_profile_does_not_depend_on_the_star_vertex(monkeypatch):
@@ -340,7 +459,7 @@ def test_pair_profile_does_not_depend_on_the_star_vertex(monkeypatch):
 def test_pruning_by_neighbour_pivots_keeps_invariant_factors(facets):
     # Columns that are unit pivot rows of the neighbouring map are integer
     # combinations of the other columns, so dropping them changes nothing,
-    # in K and in the pair (K, st v) alike.
+    # in K and in the pair (K, B) alike.
     K = from_facets(facets)
     build = homology_module._build_boundary
     for faces in (K._ifaces, _pair_faces(K)):
