@@ -124,6 +124,17 @@ def parse_coeff(coeff) -> tuple:
     raise CoefficientError(f"unknown coefficient ring {coeff!r}; use 'Z' or 'Zp' with p prime")
 
 
+def _group_text(rank, torsion, unit="Z") -> str:
+    # 'Z^2 + Z/2' style text for unit^rank plus the torsion summands; '0' if none.
+    parts = []
+    if rank == 1:
+        parts.append(unit)
+    elif rank > 1:
+        parts.append(f"{unit}^{rank}")
+    parts.extend(f"Z/{t}" for t in torsion)
+    return " + ".join(parts) if parts else "0"
+
+
 @_record
 class HomologyProfile:
     """Betti numbers and torsion per dimension, for one coefficient ring.
@@ -178,15 +189,7 @@ class HomologyProfile:
 
     def describe(self, i) -> str:
         """Human-readable group, e.g. 'Z^2 + Z/2' or '0'."""
-        betti, torsion = self.group(i)
-        unit = "Z" if self.coeff == "Z" else self.coeff
-        parts = []
-        if betti == 1:
-            parts.append(unit)
-        elif betti > 1:
-            parts.append(f"{unit}^{betti}")
-        parts.extend(f"Z/{t}" for t in torsion)
-        return " + ".join(parts) if parts else "0"
+        return _group_text(*self.group(i), unit=self.coeff)
 
 
 @_record

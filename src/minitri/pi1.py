@@ -16,6 +16,7 @@ from itertools import permutations
 
 from .complexes import SimplicialComplex
 from .errors import ConnectivityError, DimensionError, HypothesisError, _as_dict, _plain, _record
+from .homology import _group_text
 from .snf import SparseMatrix, smith_normal_form
 
 
@@ -66,8 +67,6 @@ class GroupPresentation:
 
     ngens: int
     relators: tuple
-    gen_edges: tuple = ()
-    tree_edges: tuple = ()
 
     def __post_init__(self):
         for r in self.relators:
@@ -96,11 +95,12 @@ def edge_path_presentation(K: SimplicialComplex, rng=None) -> GroupPresentation:
     Deterministic by default (BFS from the smallest vertex id, neighbors
     in id order); pass an int seed or a random.Random to shuffle the
     neighbor order and get a different spanning tree for the same group.
+    Generators are the non-tree edges in id order; the triangle
+    a < b < c gives the relator ab . bc . (ac)^-1 with its tree edges
+    dropped, which is freely reduced because its letters are distinct.
     """
     if K.dimension < 1:
         raise DimensionError("pi_1 needs a complex of dimension at least 1")
-    if not K.is_connected():
-        raise ConnectivityError("pi_1 presentation needs a connected complex")
     if isinstance(rng, int):
         rng = random.Random(rng)
 
@@ -110,7 +110,7 @@ def edge_path_presentation(K: SimplicialComplex, rng=None) -> GroupPresentation:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
 
-    tree = set()
+    gen = {}  # edge -> generator index, 0 for a tree edge
     seen = {0}
     queue = deque([0])
     while queue:
@@ -121,43 +121,28 @@ def edge_path_presentation(K: SimplicialComplex, rng=None) -> GroupPresentation:
         for v in nbrs:
             if v not in seen:
                 seen.add(v)
-                tree.add(tuple(sorted((u, v))))
+                gen[(u, v) if u < v else (v, u)] = 0
                 queue.append(v)
+    if len(seen) < K.n_vertices:
+        raise ConnectivityError("pi_1 presentation needs a connected complex")
 
-    gen_of = {}
-    gen_edges = []
+    ngens = 0
     for e in eids:
-        if e not in tree:
-            gen_of[e] = len(gen_edges) + 1
-            gen_edges.append((K.labels[e[0]], K.labels[e[1]]))
-
-    def letter(u, v):
-        # Signed generator for the directed edge u -> v; 0 for tree edges.
-        e = tuple(sorted((u, v)))
-        g = gen_of.get(e)
-        if g is None:
-            return 0
-        return g if (u, v) == e else -g
+        if e not in gen:
+            ngens += 1
+            gen[e] = ngens
 
     relators = []
     if K.dimension >= 2:
         for a, b, c in K._ifaces(2):
-            word = [letter(a, b), letter(b, c), letter(c, a)]
-            relators.append(_free_reduce([g for g in word if g]))
-
-    return GroupPresentation(
-        ngens=len(gen_edges),
-        relators=tuple(relators),
-        gen_edges=tuple(gen_edges),
-        tree_edges=tuple(
-            (K.labels[a], K.labels[b]) for a, b in sorted(tree)
-        ),
-    )
+            word = (gen[a, b], gen[b, c], -gen[a, c])
+            relators.append(tuple(g for g in word if g))
+    return GroupPresentation(ngens, tuple(relators))
 
 
 def _substitute(word, target, replacement):
     # Replace every occurrence of the generator `target` by the word
-    # `replacement` (and inverses accordingly), then freely reduce.
+    # `replacement` (and inverses accordingly); the result is unreduced.
     inv = tuple(-g for g in reversed(replacement))
     out = []
     for g in word:
@@ -167,7 +152,7 @@ def _substitute(word, target, replacement):
             out.extend(inv)
         else:
             out.append(g)
-    return _free_reduce(out)
+    return out
 
 
 def _canonical_cyclic(word):
@@ -301,13 +286,7 @@ class AbelianInvariants:
     torsion: tuple
 
     def describe(self):
-        parts = []
-        if self.rank == 1:
-            parts.append("Z")
-        elif self.rank > 1:
-            parts.append(f"Z^{self.rank}")
-        parts.extend(f"Z/{t}" for t in self.torsion)
-        return " + ".join(parts) if parts else "0"
+        return _group_text(self.rank, self.torsion)
 
     @property
     def trivial(self):

@@ -58,6 +58,14 @@ def _groups_text(prof) -> str:
     return ", ".join(f"H{dim}={prof.describe(dim)}" for dim, _, _ in prof.groups)
 
 
+def _compare(i, kind, left, right, **extra) -> GroupComparison:
+    # Degree i of two profiles of the same coefficient ring, side by side.
+    return GroupComparison(
+        i, kind, left.coeff, left.describe(i), right.describe(i),
+        left.group(i) == right.group(i), **extra,
+    )
+
+
 def complement_homology_check(K: SimplicialComplex, facet) -> CheckReport:
     """Compare the full subcomplex on the non-facet vertices against K.
 
@@ -82,57 +90,21 @@ def complement_homology_check(K: SimplicialComplex, facet) -> CheckReport:
     orientable = K.is_orientable()
     caveat = None if orientable else d - 1
 
-    hK = homology(K)
-    hL = homology(L)
-    cK = cohomology(K)
-    cL = cohomology(L)
-    need_z2 = caveat is not None
-    if need_z2:
-        h2K = homology(K, coeff="Z2")
-        h2L = homology(L, coeff="Z2")
-
+    hK, hL = homology(K), homology(L)
+    cK, cL = cohomology(K), cohomology(L)
     entries = []
     for i in range(d):
         if i == caveat:
-            left, right = h2K.describe(i), h2L.describe(i)
+            z2 = "Z2 coefficients: non-orientable complex, top comparison degree"
             entries.append(
-                GroupComparison(
-                    index=i,
-                    kind="homology",
-                    coeff="Z2",
-                    left=left,
-                    right=right,
-                    equal=h2K.group(i) == h2L.group(i),
-                    note="Z2 coefficients: non-orientable complex, top comparison degree",
-                )
+                _compare(i, "homology", homology(K, coeff="Z2"), homology(L, coeff="Z2"), note=z2)
             )
         else:
-            entries.append(
-                GroupComparison(
-                    index=i,
-                    kind="homology",
-                    coeff="Z",
-                    left=hK.describe(i),
-                    right=hL.describe(i),
-                    equal=hK.group(i) == hL.group(i),
-                )
-            )
+            entries.append(_compare(i, "homology", hK, hL))
+    advisory = "advisory: integral cohomology at the non-orientable caveat degree"
     for i in range(d):
-        advisory = i == caveat
-        entries.append(
-            GroupComparison(
-                index=i,
-                kind="cohomology",
-                coeff="Z",
-                left=cK.describe(i),
-                right=cL.describe(i),
-                equal=cK.group(i) == cL.group(i),
-                advisory=advisory,
-                note="advisory: integral cohomology at the non-orientable caveat degree"
-                if advisory
-                else "",
-            )
-        )
+        extra = {"advisory": True, "note": advisory} if i == caveat else {}
+        entries.append(_compare(i, "cohomology", cK, cL, **extra))
 
     passed = all(e.equal for e in entries if not e.advisory)
     notes = (

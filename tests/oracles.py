@@ -9,17 +9,19 @@ map (no clearing, Z_p Betti numbers from ranks mod p rather than by
 universal coefficients), antichains that test every pair of members,
 full subcomplexes from every face of every facet, links and bistellar
 flips from the definitions over every face, joins from label-tuple
-products, closed-pseudomanifold reports that count top facets over
-every ridge of the face index, Tietze simplification that recounts
-every generator over every relator for each candidate move, a quotient
-search that tries every permutation for every generator and checks
-relators in the order given, the library's quotient search with
-relators checked by composing permutations, and a small-link
-certificate that recognizes 2-spheres by rebuilding and testing every
-vertex link.  If these and the library ever disagree, one of them is
-wrong and the tests should say so loudly.
+products, edge-path presentations that sort every directed triangle
+edge to find its generator, closed-pseudomanifold reports that count
+top facets over every ridge of the face index, Tietze simplification
+that recounts every generator over every relator for each candidate
+move, a quotient search that tries every permutation for every
+generator and checks relators in the order given, the library's
+quotient search with relators checked by composing permutations, and a
+small-link certificate that recognizes 2-spheres by rebuilding and
+testing every vertex link.  If these and the library ever disagree,
+one of them is wrong and the tests should say so loudly.
 """
 
+import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -27,7 +29,7 @@ from math import gcd
 
 from minitri.combinatorial import CombinatorialityCertificate, LevelSummary
 from minitri.complexes import PseudomanifoldReport, from_facets
-from minitri.errors import DimensionError, NotPseudomanifoldError
+from minitri.errors import ConnectivityError, DimensionError, NotPseudomanifoldError
 from minitri.homology import boundary_matrix, homology
 from minitri.snf import smith_normal_form
 from minitri.pi1 import (
@@ -35,6 +37,7 @@ from minitri.pi1 import (
     _canonical_cyclic,
     _cycle_type_representatives,
     _cyclic_reduce,
+    _free_reduce,
     _relator_image,
     _substitute,
 )
@@ -301,6 +304,60 @@ def tietze_simplify_naive(P, effort_budget=10000):
 
     relators = [r for r in relators if r]
     return GroupPresentation(ngens=ngens, relators=tuple(sorted(set(relators))))
+
+
+def edge_path_presentation_naive(K, rng=None):
+    """Edge-path presentation with each triangle edge looked up as a letter.
+
+    The same BFS spanning tree as the library's (neighbors sorted, then
+    shuffled by ``rng``); connectivity is decided by a separate pass.
+    """
+    if K.dimension < 1:
+        raise DimensionError("pi_1 needs a complex of dimension at least 1")
+    if not K.is_connected():
+        raise ConnectivityError("pi_1 presentation needs a connected complex")
+    if isinstance(rng, int):
+        rng = random.Random(rng)
+
+    eids = K._ifaces(1)
+    adj = {}
+    for a, b in eids:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+
+    tree = set()
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        nbrs = sorted(adj.get(u, ()))
+        if rng is not None:
+            rng.shuffle(nbrs)
+        for v in nbrs:
+            if v not in seen:
+                seen.add(v)
+                tree.add(tuple(sorted((u, v))))
+                queue.append(v)
+
+    gen_of = {}
+    for e in eids:
+        if e not in tree:
+            gen_of[e] = len(gen_of) + 1
+
+    def letter(u, v):
+        # Signed generator for the directed edge u -> v; 0 for tree edges.
+        e = tuple(sorted((u, v)))
+        g = gen_of.get(e)
+        if g is None:
+            return 0
+        return g if (u, v) == e else -g
+
+    relators = []
+    if K.dimension >= 2:
+        for a, b, c in K._ifaces(2):
+            word = [letter(a, b), letter(b, c), letter(c, a)]
+            relators.append(_free_reduce([g for g in word if g]))
+    return GroupPresentation(ngens=len(gen_of), relators=tuple(relators))
 
 
 def quotient_search_naive(P, max_degree, node_budget):

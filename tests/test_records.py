@@ -43,8 +43,7 @@ CASES = [
     (SNFResult, ("shape", "invariant_factors", "pivot_rows"),
      ((2, 2), (1, 2), frozenset({0})), True,
      {"shape", "rank", "invariant_factors"}),
-    (GroupPresentation, ("ngens", "relators", "gen_edges", "tree_edges"),
-     (2, ((1, 1),), ((0, 1), (1, 2)), ((0, 2),)), True,
+    (GroupPresentation, ("ngens", "relators"), (2, ((1, 1),)), True,
      {"generators", "relators", "text"}),
     (AbelianInvariants, ("rank", "torsion"), (1, (2,)), True,
      {"rank", "torsion"}),
@@ -84,7 +83,6 @@ CASES = [
 # (class, required values, defaults of the remaining fields)
 DEFAULTS = [
     (SNFResult, ((2, 2), (1, 2)), {"pivot_rows": frozenset()}),
-    (GroupPresentation, (1, ()), {"gen_edges": (), "tree_edges": ()}),
     (BoundReport, ("r", "v", None, None, {}, False), {"flags": (), "details": {}}),
     (GroupComparison, (0, "homology", "Z", "0", "0", True), {"advisory": False, "note": ""}),
     (CheckReport, ("local", False, ()), {"notes": ()}),
