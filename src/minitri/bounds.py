@@ -18,9 +18,9 @@ from math import comb
 
 from .combinatorial import small_link_certificate
 from .complexes import SimplicialComplex
-from .errors import HypothesisError, NotPseudomanifoldError, _Fresh, _record
+from .errors import CrossCheckError, HypothesisError, NotPseudomanifoldError, _Fresh, _record
 from .homology import homology, is_homology_sphere, parse_coeff
-from .pi1 import edge_path_presentation, freeness_verdict
+from .pi1 import abelianization, edge_path_presentation, freeness_verdict
 
 ADAMS_DIMENSIONS = (2, 4, 8, 16)
 
@@ -219,6 +219,9 @@ def analyze(
     ``homology-sphere-recognition`` is its 3d vertex budget, not a lower
     bound, so it is never flagged.  A REJECTED certificate replaces all
     manifold-dependent reports with one ``manifold-hypothesis`` stub.
+    The abelianization of the simplified pi_1 presentation must equal
+    H_1, which is read off boundary maps rather than off relators; a
+    mismatch raises CrossCheckError.
     """
     asserts = _read_assertions(assertions)
     if not K.is_closed_pseudomanifold().is_closed_pseudomanifold:
@@ -255,6 +258,9 @@ def analyze(
 
     # Fundamental group: computed verdict first, assertions on top.
     fv = freeness_verdict(edge_path_presentation(K))
+    ab = abelianization(fv.presentation)
+    if (ab.rank, ab.torsion) != prof.group(1):
+        raise CrossCheckError(f"pi_1 abelianizes to {ab.describe()} but H_1 is {prof.describe(1)}")
     pi1_assert = asserts.get("pi1", "")
     sc_asserted = asserts.get("simply-connected") in _YES or pi1_assert == "trivial"
 

@@ -2,10 +2,13 @@
 
 Only the 2-skeleton matters for pi_1, so presentations are read off a
 spanning tree: one generator per non-tree edge, one relator per
-triangle.  Freeness is undecidable in general; ``freeness_verdict`` is
-three-valued and every NOT_FREE answer carries a certificate that can be
-re-validated independently (a torsion coefficient of the abelianization,
-or an explicit homomorphism onto a nontrivial permutation group).
+triangle.  The complex read is K/B, B the contractible union of facets
+that ``homology`` grows: contracting B keeps pi_1 (Hatcher, *Algebraic
+Topology*, Prop. 0.17) and leaves few cells.  Freeness is undecidable
+in general; ``freeness_verdict`` is three-valued and every NOT_FREE
+answer carries a certificate that can be re-validated independently (a
+torsion coefficient of the abelianization, or an explicit homomorphism
+onto a nontrivial permutation group).
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ import random
 from collections import Counter, deque
 from itertools import permutations
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _faces
 from .errors import ConnectivityError, DimensionError, HypothesisError, _as_dict, _plain, _record
-from .homology import _group_text
+from .homology import _attach, _group_text
 from .snf import SparseMatrix, smith_normal_form
 
 
@@ -90,52 +93,59 @@ class GroupPresentation:
 
 
 def edge_path_presentation(K: SimplicialComplex, rng=None) -> GroupPresentation:
-    """Presentation of pi_1 from a breadth-first spanning tree.
+    """Presentation of pi_1 read off K/B, B the contractible part of homology.
 
-    Deterministic by default (BFS from the smallest vertex id, neighbors
-    in id order); pass an int seed or a random.Random to shuffle the
-    neighbor order and get a different spanning tree for the same group.
-    Generators are the non-tree edges in id order; the triangle
-    a < b < c gives the relator ab . bc . (ac)^-1 with its tree edges
-    dropped, which is freely reduced because its letters are distinct.
+    B is the union of facets that ``homology._attach`` grows from a
+    vertex star.  Contracting it is a homotopy equivalence (Hatcher,
+    *Algebraic Topology*, Prop. 0.17), so K/B, with one 0-cell for B and
+    a cell per face outside B, has the same pi_1.  A BFS spanning tree
+    of its 1-skeleton starts at B, reading B's vertices and then each
+    neighbour list in id order; an int seed or a random.Random shuffles
+    every neighbour list, which moves the tree outside B only.
+    Generators are the non-tree edges outside B in id order; a triangle
+    a < b < c outside B gives ab . bc . (ac)^-1 with its B and tree
+    edges dropped, freely reduced as its letters are distinct.  B = one
+    vertex gives K's own presentation.
     """
     if K.dimension < 1:
         raise DimensionError("pi_1 needs a complex of dimension at least 1")
     if isinstance(rng, int):
         rng = random.Random(rng)
 
-    eids = K._ifaces(1)
+    rest, inside = _attach(K)
+    # every face outside B lies in a facet left outside B
+    todo = {u for (u,) in _faces(rest, 0) if (u,) not in inside}
+    edges = [e for e in _faces(rest, 1) if e not in inside]
     adj = {}
-    for a, b in eids:
+    for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
 
-    gen = {}  # edge -> generator index, 0 for a tree edge
-    seen = {0}
-    queue = deque([0])
+    gen = {}  # edge outside B -> generator index, 0 for a tree edge
+    queue = deque(sorted(u for u in adj if u not in todo))
     while queue:
         u = queue.popleft()
-        nbrs = sorted(adj.get(u, ()))
+        nbrs = sorted(adj[u])
         if rng is not None:
             rng.shuffle(nbrs)
         for v in nbrs:
-            if v not in seen:
-                seen.add(v)
+            if v in todo:
+                todo.remove(v)
                 gen[(u, v) if u < v else (v, u)] = 0
                 queue.append(v)
-    if len(seen) < K.n_vertices:
+    if todo:
         raise ConnectivityError("pi_1 presentation needs a connected complex")
 
     ngens = 0
-    for e in eids:
+    for e in edges:
         if e not in gen:
             ngens += 1
             gen[e] = ngens
 
     relators = []
-    if K.dimension >= 2:
-        for a, b, c in K._ifaces(2):
-            word = (gen[a, b], gen[b, c], -gen[a, c])
+    for a, b, c in _faces(rest, 2):
+        if (a, b, c) not in inside:
+            word = (gen.get((a, b), 0), gen.get((b, c), 0), -gen.get((a, c), 0))
             relators.append(tuple(g for g in word if g))
     return GroupPresentation(ngens, tuple(relators))
 

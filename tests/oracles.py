@@ -10,7 +10,8 @@ universal coefficients), antichains that test every pair of members,
 full subcomplexes from every face of every facet, links and bistellar
 flips from the definitions over every face, joins from label-tuple
 products, edge-path presentations that sort every directed triangle
-edge to find its generator, closed-pseudomanifold reports that count
+edge to find its generator, both of K and of K/B with B read off the
+faces of its facets, closed-pseudomanifold reports that count
 top facets over every ridge of the face index, Tietze simplification
 that recounts every generator over every relator for each candidate
 move, a quotient search that tries every permutation for every
@@ -30,7 +31,7 @@ from math import gcd
 from minitri.combinatorial import CombinatorialityCertificate, LevelSummary
 from minitri.complexes import PseudomanifoldReport, from_facets
 from minitri.errors import ConnectivityError, DimensionError, NotPseudomanifoldError
-from minitri.homology import boundary_matrix, homology
+from minitri.homology import _attach, boundary_matrix, homology
 from minitri.snf import smith_normal_form
 from minitri.pi1 import (
     GroupPresentation,
@@ -307,10 +308,13 @@ def tietze_simplify_naive(P, effort_budget=10000):
 
 
 def edge_path_presentation_naive(K, rng=None):
-    """Edge-path presentation with each triangle edge looked up as a letter.
+    """Edge-path presentation of K itself, each triangle edge looked up as a letter.
 
-    The same BFS spanning tree as the library's (neighbors sorted, then
-    shuffled by ``rng``); connectivity is decided by a separate pass.
+    No B is contracted: a BFS spanning tree of K's whole 1-skeleton from
+    vertex id 0 (neighbors sorted by id, then shuffled by ``rng``), one
+    generator per non-tree edge and one relator per triangle, so its
+    presentations are as large as K's 2-skeleton.  Connectivity is
+    decided by a separate pass.
     """
     if K.dimension < 1:
         raise DimensionError("pi_1 needs a complex of dimension at least 1")
@@ -355,6 +359,79 @@ def edge_path_presentation_naive(K, rng=None):
     relators = []
     if K.dimension >= 2:
         for a, b, c in K._ifaces(2):
+            word = [letter(a, b), letter(b, c), letter(c, a)]
+            relators.append(_free_reduce([g for g in word if g]))
+    return GroupPresentation(ngens=len(gen_of), relators=tuple(relators))
+
+
+def edge_path_presentation_quotient_naive(K, rng=None):
+    """Edge-path presentation of K/B on labels, B read off its facets.
+
+    B is the union of the facets that ``homology._attach`` attached, and
+    its vertices, edges and triangles are every subset of those facets.
+    The quotient graph has one node for B and one per vertex outside B;
+    its edges are K's edges outside B, with B's vertices sent to B's
+    node.  The BFS from B's node reads B's neighbours vertex by vertex in
+    K's vertex order and every neighbour list in that order, shuffled by
+    ``rng``, as the library documents.  Each triangle outside B reads
+    ab . bc . ca with its edges in B or in the tree dropped.
+    """
+    if K.dimension < 1:
+        raise DimensionError("pi_1 needs a complex of dimension at least 1")
+    if isinstance(rng, int):
+        rng = random.Random(rng)
+    pos = {lab: i for i, lab in enumerate(K.vertices)}
+    rest = {K._to_labels(f) for f in _attach(K)[0]}
+    in_b = {
+        frozenset(s)
+        for f in K.facets
+        if f not in rest
+        for k in (1, 2, 3)
+        for s in combinations(f, k)
+    }
+    outside_edges = [e for e in K.faces(1) if frozenset(e) not in in_b]
+    B = object()  # the quotient graph's node for B, equal to no label
+    node = {v: B if frozenset((v,)) in in_b else v for v in K.vertices}
+    nbrs = {}
+    for a, b in outside_edges:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+
+    def neighbours(n):
+        # (vertex of n, neighbour vertex) pairs, the edges of n in BFS order
+        out = []
+        for u in sorted((v for v in K.vertices if node[v] == n), key=pos.get):
+            ws = sorted(nbrs.get(u, ()), key=pos.get)
+            if rng is not None:
+                rng.shuffle(ws)
+            out += [(u, w) for w in ws]
+        return out
+
+    tree = set()
+    seen = {B}
+    queue = deque([B])
+    while queue:
+        n = queue.popleft()
+        for u, w in neighbours(n):
+            if node[w] not in seen:
+                seen.add(node[w])
+                tree.add(frozenset((u, w)))
+                queue.append(node[w])
+    if seen != set(node.values()):
+        raise ConnectivityError("pi_1 presentation needs a connected complex")
+
+    gen_of = {}
+    for e in outside_edges:
+        if frozenset(e) not in tree:
+            gen_of[frozenset(e)] = len(gen_of) + 1
+
+    def letter(u, v):
+        g = gen_of.get(frozenset((u, v)), 0)
+        return g if pos[u] < pos[v] else -g
+
+    relators = []
+    for a, b, c in K.faces(2) if K.dimension >= 2 else ():
+        if frozenset((a, b, c)) not in in_b:
             word = [letter(a, b), letter(b, c), letter(c, a)]
             relators.append(_free_reduce([g for g in word if g]))
     return GroupPresentation(ngens=len(gen_of), relators=tuple(relators))

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from minitri import fixtures
+from minitri import bounds, fixtures
 from minitri.bounds import (
     analyze,
     cat_vertex_bound,
@@ -13,8 +13,9 @@ from minitri.bounds import (
     sphere_recognition_threshold,
 )
 from minitri.complexes import from_facets
-from minitri.errors import HypothesisError, NotPseudomanifoldError
+from minitri.errors import CrossCheckError, HypothesisError, NotPseudomanifoldError
 from minitri.homology import homology
+from minitri.pi1 import GroupPresentation
 
 from oracles import staircase_product, suspension
 from test_complexes import _benchmark_corpus
@@ -258,6 +259,21 @@ def test_analyze_output_unchanged_where_h1_is_zero_or_d_below_3():
     payload = json.dumps([[r.as_dict() for r in analyze(K)] for K in inputs], sort_keys=True)
     digest = hashlib.sha256(payload.encode()).hexdigest()
     assert digest == "b009e2e7abcd80fc43a373dd7e2a08a2e5f4147abeab63775c751a6c90a07ba8"
+
+
+@pytest.mark.parametrize(
+    "K, forged",
+    [
+        # a 3-sphere whose presentation claims Z, an RP^2 whose claims Z/3
+        (fixtures.boundary_simplex(4), GroupPresentation(1, ())),
+        (fixtures.rp2_6(), GroupPresentation(1, ((1, 1, 1),))),
+    ],
+    ids=["sphere-as-Z", "rp2-as-Z3"],
+)
+def test_analyze_cross_checks_pi1_against_h1(monkeypatch, K, forged):
+    monkeypatch.setattr(bounds, "edge_path_presentation", lambda K: forged)
+    with pytest.raises(CrossCheckError, match="abelianizes"):
+        analyze(K)
 
 
 def test_reports_serialize():

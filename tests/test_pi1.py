@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from minitri import fixtures
+from minitri import bounds, fixtures
+from minitri.bounds import analyze
 from minitri.complexes import from_facets
 from minitri.errors import ConnectivityError, DimensionError, HypothesisError
 from minitri.homology import homology
@@ -25,9 +26,12 @@ from minitri.pi1 import (
 
 from oracles import (
     edge_path_presentation_naive,
+    edge_path_presentation_quotient_naive,
+    profile_per_map,
     quotient_search_composing,
     quotient_search_naive,
     random_complex,
+    staircase_product,
     tietze_simplify_naive,
 )
 from test_complexes import _benchmark_corpus
@@ -101,7 +105,8 @@ def test_unknown_says_why():
     done = freeness_verdict(icosahedral, max_degree=4)
     assert (done.status, done.reason) == ("UNKNOWN", "no-certificate-found")
 
-    P = edge_path_presentation(fixtures.cp2_9())
+    # K's own presentation, large enough that two Tietze moves leave relators
+    P = edge_path_presentation_naive(fixtures.cp2_9())
     short = freeness_verdict(P, effort_budget=2)
     assert (short.status, short.reason) == ("UNKNOWN", "budget-exhausted:tietze")
     assert short.presentation == tietze_simplify(P, effort_budget=2)
@@ -120,6 +125,7 @@ def _stellar_subdivision(K):
 
 
 def _oracle_presentations():
+    # K's own presentations: the K/B ones are too small to load Tietze.
     for K in (
         fixtures.cp2_9(),
         fixtures.torus_7(),
@@ -127,7 +133,7 @@ def _oracle_presentations():
         fixtures.cyclic_polytope(9, 4),
     ):
         for seed in range(20):
-            yield edge_path_presentation(K, rng=seed)
+            yield edge_path_presentation_naive(K, rng=seed)
     # 31-36 generators and 80-100 relators, near the largest presentations
     # of bistellar-randomized 4-manifolds (32-44 and 94-120).
     for K in (
@@ -136,12 +142,12 @@ def _oracle_presentations():
         _stellar_subdivision(fixtures.cp2_9()),
     ):
         for seed in range(3):
-            yield edge_path_presentation(K, rng=seed)
+            yield edge_path_presentation_naive(K, rng=seed)
     rng = random.Random(21)
     for _ in range(40):
         K = random_complex(rng)
         if K.is_connected() and K.dimension >= 1:
-            yield edge_path_presentation(K)
+            yield edge_path_presentation_naive(K)
 
 
 def _assert_same_as_oracle(P, budget):
@@ -166,8 +172,8 @@ def test_tietze_budget_sweep_matches_naive_oracle():
     # runs out right after a move, the relators that move changed are not
     # checked for cyclic duplicates; some budgets here leave such pairs.
     for P in (
-        edge_path_presentation(fixtures.cross_polytope(3), rng=0),
-        edge_path_presentation(fixtures.cyclic_polytope(9, 4), rng=0),
+        edge_path_presentation_naive(fixtures.cross_polytope(3), rng=0),
+        edge_path_presentation_naive(fixtures.cyclic_polytope(9, 4), rng=0),
     ):
         moves = P.ngens - tietze_simplify(P).ngens
         assert moves > 15
@@ -464,17 +470,79 @@ def test_edge_path_needs_connected_positive_dimension():
     with pytest.raises(ConnectivityError):
         edge_path_presentation(from_facets([(1, 2), (3, 4)]))
     with pytest.raises(ConnectivityError):
-        # an isolated vertex: every edge is reached, one vertex is not
+        # an isolated vertex outside B: every edge is reached, one vertex is not
         edge_path_presentation(from_facets([(1, 2, 3), (4,)]))
+    with pytest.raises(ConnectivityError):
+        # the isolated vertex has the lowest id, so B is that vertex alone
+        edge_path_presentation(from_facets([(0,), (1, 2, 3)]))
+
+
+def _connected_random_complexes(count, seed):
+    # Graphs, non-pure complexes and pseudomanifolds; B covers every vertex
+    # of the fixtures and the corpus, but leaves some of these outside.
+    rng = random.Random(seed)
+    while count:
+        K = random_complex(rng)
+        if K.dimension >= 1 and K.is_connected():
+            count -= 1
+            yield K
 
 
 def test_edge_path_matches_naive_oracle():
     corpus = [K for seed in (1, 2, 3) for K in _benchmark_corpus(seed)]
-    for K in ALL_FIXTURES + corpus:
+    for K in ALL_FIXTURES + corpus + list(_connected_random_complexes(300, 29)):
         for rng in (None, 1, 2, 3, 4, 5):
             got = edge_path_presentation(K, rng=rng)
-            want = edge_path_presentation_naive(K, rng=rng)
+            want = edge_path_presentation_quotient_naive(K, rng=rng)
             assert (got.ngens, got.relators) == (want.ngens, want.relators), (K, rng)
+
+
+def _verdict_key(P):
+    v = freeness_verdict(P)
+    return v.status, v.rank, v.reason, v.certificate and v.certificate["kind"]
+
+
+def test_quotient_by_b_keeps_every_verdict():
+    # K -> K/B is a homotopy equivalence, so the verdict read off K/B is
+    # the one read off K's own presentation.
+    circle = from_facets([(0, 1), (1, 2), (0, 2)])
+    products = [
+        staircase_product(fixtures.torus_7(), circle),
+        staircase_product(fixtures.rp2_6(), circle),
+    ]
+    corpus = [K for seed in (1, 2, 3, 4) for K in _benchmark_corpus(seed)]
+    keys = set()
+    for K in ALL_FIXTURES + corpus + products + [circle]:
+        for rng in (None, 1, 2, 3, 4, 5):
+            want = _verdict_key(edge_path_presentation_naive(K, rng=rng))
+            assert _verdict_key(edge_path_presentation(K, rng=rng)) == want, (K, rng)
+            keys.add((want[0], want[1]))
+    assert keys == {("FREE", 0), ("FREE", 1), ("UNKNOWN", None), ("NOT_FREE", None)}
+
+
+def test_quotient_by_b_keeps_analyze_output(monkeypatch):
+    # The same holds for everything analyze reports.
+    inputs = ALL_FIXTURES + _benchmark_corpus(1)
+
+    def payload():
+        return json.dumps([[r.as_dict() for r in analyze(K)] for K in inputs])
+
+    got = payload()
+    monkeypatch.setattr(bounds, "edge_path_presentation", edge_path_presentation_naive)
+    assert payload() == got
+
+
+def test_abelianization_matches_h1_without_b():
+    # H_1 from one SNF per whole boundary map of K, which never grows B.
+    shapes = set()
+    for K in _connected_random_complexes(300, 29):
+        shapes.add((K.dimension, len({len(f) for f in K.facets}) > 1))
+        groups = {i: (b, t) for i, b, t in profile_per_map(K)}
+        want = groups.get(1, (0, ()))
+        for seed in (None, 1, 2, 3):
+            ab = abelianization(edge_path_presentation(K, rng=seed))
+            assert (ab.rank, ab.torsion) == want, (K.facets, seed)
+    assert {(1, False), (2, True), (3, True), (4, True)} <= shapes
 
 
 def test_presentation_str_and_dict():
