@@ -42,9 +42,9 @@ _LAZY = {
         "nonfree_pi1_bound", "simply_connected_bound", "sphere_recognition_threshold",
     ),
     "combinatorial": (
-        "BistellarMove", "BistellarResult", "CombinatorialityCertificate", "LevelSummary",
-        "apply_bistellar_move", "bistellar_moves", "bistellar_sphere_heuristic",
-        "certified_sphere", "recognize_2sphere", "recognize_circle", "small_link_certificate",
+        "BistellarMove", "CombinatorialityCertificate", "LevelSummary", "apply_bistellar_move",
+        "bistellar_moves", "certified_sphere", "recognize_2sphere", "recognize_circle",
+        "small_link_certificate",
     ),
     "facetio": ("dump", "dumps", "load", "load_assertions", "loads", "parse_assertions"),
     "fixtures": ("fixture", "fixture_names"),

@@ -32,10 +32,8 @@ manifold triangulation (REJECTED).
 
 from __future__ import annotations
 
-import random
-
 from .complexes import SimplicialComplex, _compact, _find, _memoized, from_facets
-from .errors import DimensionError, HypothesisError, NotPseudomanifoldError, _as_dict, _record
+from .errors import DimensionError, HypothesisError, NotPseudomanifoldError, _record
 from .homology import homology
 
 
@@ -254,20 +252,6 @@ class BistellarMove:
     cofacet: tuple
 
 
-@_record
-class BistellarResult:
-    success: bool
-    moves: tuple
-    restarts_used: int
-    final_facets: tuple
-    detail: str
-
-    def as_dict(self):
-        d = _as_dict(self)
-        del d["final_facets"]
-        return d
-
-
 def _simplex_boundary_vertices(facets):
     """Sorted vertex ids of the simplex whose boundary ``facets`` are, else None.
 
@@ -335,69 +319,3 @@ def apply_bistellar_move(K: SimplicialComplex, move: BistellarMove) -> Simplicia
     by_id = K._id_of.get
     added = [tuple(sorted((s - {x}) | w, key=by_id)) for x in s]
     return from_facets(kept + added)
-
-
-def _move_score(move):
-    # (vertex delta, facet delta): vertex removals first, then moves that
-    # shrink the facet count; ties broken lexicographically for determinism.
-    dv = -1 if len(move.face) == 1 else 0
-    df = len(move.face) - len(move.cofacet)
-    return dv, df
-
-
-def bistellar_sphere_heuristic(
-    K: SimplicialComplex,
-    move_budget: int = 300,
-    seed: int = 0,
-    restarts: int = 10,
-) -> BistellarResult:
-    """Try to flip K down to the boundary of a simplex.
-
-    Success is a proof that K is a PL-sphere, since every move preserves
-    the PL type.  Exhaustion of the budget proves nothing.  Greedy on
-    (vertex count, facet count) with seeded random plateau steps and
-    deterministic restarts.
-    """
-    if not K.is_closed_pseudomanifold().is_closed_pseudomanifold:
-        raise NotPseudomanifoldError("bistellar search needs a closed pseudomanifold")
-    prof = homology(K, reduced=True)
-    if not prof.is_sphere(K.dimension):
-        raise HypothesisError("bistellar search needs sphere homology")
-
-    for r in range(restarts):
-        rng = random.Random((seed << 16) ^ r)
-        current = K
-        applied = []
-        last = None
-        for _ in range(move_budget):
-            if _simplex_boundary_vertices(current._id_facets) is not None:
-                break
-            moves = bistellar_moves(current)
-            if last is not None and len(moves) > 1:
-                undo = BistellarMove(face=last.cofacet, cofacet=last.face)
-                moves = [m for m in moves if m != undo]
-            if not moves:
-                break
-            best = min(moves, key=lambda m: (_move_score(m), m.face, m.cofacet))
-            if _move_score(best) < (0, 0):
-                pick = best
-            else:
-                pick = rng.choice(moves)
-            current = apply_bistellar_move(current, pick)
-            applied.append(pick)
-            last = pick
-        if _simplex_boundary_vertices(current._id_facets) is not None:
-            return BistellarResult(
-                success=True,
-                moves=tuple(applied),
-                restarts_used=r + 1,
-                final_facets=current.facets,
-                detail=f"reduced to the boundary simplex in {len(applied)} moves",
-            )
-    return BistellarResult(
-        success=False,
-        moves=(),
-        restarts_used=restarts,
-        final_facets=K.facets,
-        detail="move budget exhausted without reaching the boundary simplex",
-    )

@@ -250,6 +250,13 @@ def _attach(K):
     and is not itself a face of B; passes over the other facets in id
     order repeat until one adds nothing.  The faces of F outside B are
     those that hold all of X, so only they are added.
+
+    B is collapsible.  The star is a cone.  F meets B in a nonempty
+    proper union of its ridges, so for y in F - X, pairing each face
+    that holds X but not y with its union with y collapses F onto B.
+    So when K is a closed combinatorial manifold and one facet is left
+    outside, B is a collapsible combinatorial manifold, hence a PL ball
+    (Whitehead, Proc. London Math. Soc. 45, 1939), and K is a PL sphere.
     """
     v = _star_vertex(K)
     inside = set()

@@ -104,8 +104,9 @@ def edge_path_presentation(K: SimplicialComplex, rng=None) -> GroupPresentation:
     every neighbour list, which moves the tree outside B only.
     Generators are the non-tree edges outside B in id order; a triangle
     a < b < c outside B gives ab . bc . (ac)^-1 with its B and tree
-    edges dropped, freely reduced as its letters are distinct.  B = one
-    vertex gives K's own presentation.
+    edges dropped, freely reduced as its letters are distinct, and no
+    relator when all three are dropped.  B = one vertex gives K's own
+    presentation, less its empty relators.
     """
     if K.dimension < 1:
         raise DimensionError("pi_1 needs a complex of dimension at least 1")
@@ -142,12 +143,12 @@ def edge_path_presentation(K: SimplicialComplex, rng=None) -> GroupPresentation:
             ngens += 1
             gen[e] = ngens
 
-    relators = []
-    for a, b, c in _faces(rest, 2):
-        if (a, b, c) not in inside:
-            word = (gen.get((a, b), 0), gen.get((b, c), 0), -gen.get((a, c), 0))
-            relators.append(tuple(g for g in word if g))
-    return GroupPresentation(ngens, tuple(relators))
+    words = (
+        tuple(g for g in (gen.get((a, b), 0), gen.get((b, c), 0), -gen.get((a, c), 0)) if g)
+        for a, b, c in _faces(rest, 2)
+        if (a, b, c) not in inside
+    )
+    return GroupPresentation(ngens, tuple(w for w in words if w))
 
 
 def _substitute(word, target, replacement):
@@ -404,10 +405,10 @@ def _quotient_search(P, max_degree, node_budget):
         return None, False
     # Each relator is kept reversed, with the generators whose inverse it
     # reads, so that a point is traced through it from its last letter.
-    by_max = {}
+    by_max = [[] for _ in range(P.ngens + 1)]
     for r in sorted((r for r in P.relators if r), key=len):
         inverted = tuple(sorted({-g for g in r if g < 0}))
-        by_max.setdefault(max(abs(g) for g in r), []).append((r[::-1], inverted))
+        by_max[max(abs(g) for g in r)].append((r[::-1], inverted))
 
     for n in range(2, max_degree + 1):
         ident = tuple(range(n))
@@ -418,37 +419,32 @@ def _quotient_search(P, max_degree, node_budget):
         # None until a relator being checked reads one.
         letters = [ident] * (2 * P.ngens + 1)
         nodes = 0
-
-        def assign(g, trivial_so_far):
-            nonlocal nodes
-            if g > P.ngens:
-                return not trivial_so_far
-            checks = by_max.get(g, ())
-            for p in first if trivial_so_far else perms:
+        # Generator g is stack[g - 1]: its untried images, and whether every
+        # generator before it maps to the identity.
+        stack = [(iter(first), True)]
+        while stack:
+            g = len(stack)
+            images, trivial = stack[-1]
+            for p in images:
                 nodes += 1
                 if nodes > node_budget:
-                    return False
+                    return None, True
                 letters[g], letters[-g] = p, None
-                for word, inverted in checks:
+                for word, inverted in by_max[g]:
                     for h in inverted:
                         if letters[-h] is None:
                             letters[-h] = _perm_inv(letters[h])
                     if not _fixes_every_point([letters[x] for x in word], ident):
                         break
                 else:
-                    if assign(g + 1, trivial_so_far and p == ident):
-                        return True
-            letters[g] = letters[-g] = ident
-            return False
-
-        found = assign(1, True)
-        # assign refers to itself through this cell; emptying it frees perms
-        # now instead of at the next full garbage collection.
-        assign = None
-        if found:
-            return (n, tuple(letters[1 : P.ngens + 1])), False
-        if nodes > node_budget:
-            return None, True
+                    t = trivial and p == ident
+                    if g < P.ngens:  # descend; this generator resumes after
+                        stack.append((iter(first if t else perms), t))
+                        break
+                    if not t:
+                        return (n, tuple(letters[1 : P.ngens + 1])), False
+            else:
+                stack.pop()
     return None, False
 
 
@@ -524,13 +520,14 @@ def validate_not_free_certificate(verdict: FreenessVerdict) -> bool:
     """Re-check a NOT_FREE certificate from scratch.
 
     A certificate of the wrong shape (not a dict, a field missing or of
-    the wrong type) is rejected, never raised on.
+    the wrong type) is rejected, never raised on, and so is one whose
+    presentation is not the verdict's own.
     """
     cert = verdict.certificate
     if verdict.status != "NOT_FREE" or not isinstance(cert, dict):
         return False
     Q = cert.get("presentation")
-    if not isinstance(Q, GroupPresentation):
+    if not isinstance(Q, GroupPresentation) or Q != verdict.presentation:
         return False
     if cert.get("kind") == "torsion-in-H1":
         torsion = cert.get("torsion")

@@ -229,6 +229,19 @@ def staircase_product(K, L):
     return from_facets(facets)
 
 
+def kuhnel(d):
+    """Kuhnel's (2d + 3)-vertex d-manifold, an S^(d-1)-bundle over the circle.
+
+    Facets are {i, ..., i + d + 1} less one of i + 1, ..., i + d, mod
+    2d + 3 (W. Kuhnel, "Higherdimensional analogues of Czaszar's torus",
+    *Results Math.* 9, 1986).
+    """
+    n = 2 * d + 3
+    return from_facets(
+        [tuple((i + k) % n for k in range(d + 2) if k != j) for i in range(n) for j in range(1, d + 1)]
+    )
+
+
 def _drop_generator(relators, target):
     # Reindex generators above `target` down by one.
     def shift(g):
@@ -374,7 +387,8 @@ def edge_path_presentation_quotient_naive(K, rng=None):
     node.  The BFS from B's node reads B's neighbours vertex by vertex in
     K's vertex order and every neighbour list in that order, shuffled by
     ``rng``, as the library documents.  Each triangle outside B reads
-    ab . bc . ca with its edges in B or in the tree dropped.
+    ab . bc . ca with its edges in B or in the tree dropped, and is left
+    out when that leaves no letter.
     """
     if K.dimension < 1:
         raise DimensionError("pi_1 needs a complex of dimension at least 1")
@@ -432,8 +446,9 @@ def edge_path_presentation_quotient_naive(K, rng=None):
     relators = []
     for a, b, c in K.faces(2) if K.dimension >= 2 else ():
         if frozenset((a, b, c)) not in in_b:
-            word = [letter(a, b), letter(b, c), letter(c, a)]
-            relators.append(_free_reduce([g for g in word if g]))
+            word = _free_reduce([g for g in (letter(a, b), letter(b, c), letter(c, a)) if g])
+            if word:
+                relators.append(word)
     return GroupPresentation(ngens=len(gen_of), relators=tuple(relators))
 
 

@@ -28,7 +28,12 @@ from minitri.pi1 import (
 from minitri.snf import smith_normal_form
 from minitri.verify import alexander_duality_check, complement_homology_check
 
-from oracles import random_matrix, snf_invariant_factors_naive, suspension
+from oracles import (
+    edge_path_presentation_naive,
+    random_matrix,
+    snf_invariant_factors_naive,
+    suspension,
+)
 
 
 def _report(name, started):
@@ -181,6 +186,10 @@ def test_pi1_soundness():
     ):
         for seed in range(20):
             P = edge_path_presentation(K, rng=random.Random(seed))
+            assert freeness_verdict(P).status == expected, (expected, seed)
+            # K's own presentation; these fixtures are 2-neighbourly, so its
+            # BFS tree from vertex 0 is the star of 0 whatever the seed
+            P = edge_path_presentation_naive(K, rng=random.Random(seed))
             assert freeness_verdict(P).status == expected, (expected, seed)
 
     icosahedral = GroupPresentation(

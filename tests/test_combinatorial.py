@@ -10,7 +10,6 @@ from minitri.combinatorial import (
     BistellarMove,
     apply_bistellar_move,
     bistellar_moves,
-    bistellar_sphere_heuristic,
     certified_sphere,
     recognize_2sphere,
     recognize_circle,
@@ -176,46 +175,6 @@ def test_apply_move_rejects_stale_move():
     for L, move in cases:
         with pytest.raises(HypothesisError):
             apply_bistellar_move(L, move)
-
-
-def test_heuristic_octahedron_reaches_minimal():
-    res = bistellar_sphere_heuristic(fixtures.cross_polytope(2), move_budget=50, seed=0)
-    assert res.success
-    assert len(res.final_facets) == 4
-    # one edge flip frees each vertex removal: 6 -> 5 -> 4 vertices
-    assert len(res.moves) >= 3
-    # replaying the recorded moves reproduces the final complex
-    K = fixtures.cross_polytope(2)
-    for mv in res.moves:
-        K = apply_bistellar_move(K, mv)
-    assert sorted(tuple(sorted(f)) for f in K.facets) == sorted(
-        tuple(sorted(f)) for f in res.final_facets
-    )
-
-
-def test_heuristic_three_sphere():
-    res = bistellar_sphere_heuristic(fixtures.cross_polytope(3), move_budget=200, seed=1)
-    assert res.success
-    assert len(res.final_facets) == 5
-
-
-def test_heuristic_already_minimal():
-    res = bistellar_sphere_heuristic(fixtures.boundary_simplex(2), move_budget=10, seed=0)
-    assert res.success
-    assert res.moves == ()
-
-
-def test_heuristic_requires_sphere_homology():
-    with pytest.raises(HypothesisError):
-        bistellar_sphere_heuristic(fixtures.torus_7())
-    with pytest.raises(NotPseudomanifoldError):
-        bistellar_sphere_heuristic(BROKEN_PM)
-
-
-def test_heuristic_deterministic_per_seed():
-    a = bistellar_sphere_heuristic(fixtures.cross_polytope(2), move_budget=50, seed=5)
-    b = bistellar_sphere_heuristic(fixtures.cross_polytope(2), move_budget=50, seed=5)
-    assert a.as_dict() == b.as_dict()
 
 
 def test_moves_preserve_homology_along_random_walk():

@@ -27,7 +27,14 @@ from minitri.homology import (
 
 from minitri.snf import SparseMatrix, smith_normal_form
 
-from oracles import profile_per_map, rank_mod_p_naive, random_complex, suspension
+from oracles import (
+    kuhnel,
+    profile_per_map,
+    random_complex,
+    rank_mod_p_naive,
+    staircase_product,
+    suspension,
+)
 from test_combinatorial import _relabelled
 from test_complexes import _benchmark_corpus
 
@@ -433,6 +440,23 @@ def test_polytopal_spheres_leave_one_facet_outside():
             rest, _ = homology_module._attach(L)
             assert len(rest) == 1, (K, L.facets)
             assert all(_pair_faces(L)(i) == [] for i in range(L.dimension))
+
+
+def test_attach_leaves_one_facet_on_sphere_links():
+    # B is collapsible (see _attach), so one facet left outside, with all
+    # its proper faces in B, shows that the sphere minus that facet
+    # collapses: the proof a PL-sphere check can read off _attach.  Every
+    # vertex link of Kuhnel's d = 4..6 manifolds and of T^2 x T^2 passes;
+    # the polytopal spheres whole are in the test above.
+    torus = fixtures.torus_7()
+    manifolds = [kuhnel(d) for d in (4, 5, 6)] + [staircase_product(torus, torus)]
+    spheres = [M.link((v,)) for M in manifolds for v in M.vertices]
+    assert len(spheres) == 11 + 13 + 15 + 49
+    for L in spheres:
+        rest, inside = homology_module._attach(L)
+        assert len(rest) == 1, L.facets
+        (f,) = rest
+        assert all(s in inside for k in range(1, len(f)) for s in combinations(f, k)), L.facets
 
 
 def test_pair_profile_does_not_depend_on_the_star_vertex(monkeypatch):

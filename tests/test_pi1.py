@@ -237,23 +237,36 @@ def test_abelianization_matches_h1(K):
 
 
 def test_verdicts_stable_across_spanning_trees():
-    for K, expected in (
+    # B holds every vertex of these inputs, so the seed moves no tree in
+    # edge_path_presentation, only in the oracle's presentation of K itself.
+    # That tree moves on the flipped corpus but not on the fixtures: they
+    # are 2-neighbourly, so a BFS from vertex 0 takes every edge at 0.
+    fixed = [
         (fixtures.rp2_6(), "NOT_FREE"),
         (fixtures.torus_7(), "UNKNOWN"),
         (fixtures.cp2_9(), "FREE"),
-    ):
+    ]
+    corpus = [(K, freeness_verdict(edge_path_presentation(K)).status) for K in _benchmark_corpus(1)]
+    assert {status for _, status in corpus} == {"FREE", "NOT_FREE", "UNKNOWN"}
+    moved = 0
+    for K, expected in fixed + corpus:
+        trees = set()
         for seed in range(20):
             P = edge_path_presentation(K, rng=random.Random(seed))
             assert freeness_verdict(P).status == expected
+            trees.add(edge_path_presentation_naive(K, rng=random.Random(seed)))
+        assert {freeness_verdict(P).status for P in trees} == {expected}, K
+        moved += len(trees) > 1
+    assert moved >= 20
 
 
 def test_abelianization_stable_across_spanning_trees():
-    K = fixtures.torus_7()
-    b1, t1 = homology(K).group(1)
-    for seed in range(10):
-        P = edge_path_presentation(K, rng=seed)
-        ab = abelianization(P)
-        assert (ab.rank, ab.torsion) == (b1, t1)
+    for K in [fixtures.torus_7()] + _benchmark_corpus(1):
+        b1, t1 = homology(K).group(1)
+        for seed in range(10):
+            for build in (edge_path_presentation, edge_path_presentation_naive):
+                ab = abelianization(build(K, rng=seed))
+                assert (ab.rank, ab.torsion) == (b1, t1), (build, seed)
 
 
 def test_icosahedral_type_presentation_not_free():
@@ -345,14 +358,20 @@ def test_forged_certificates_rejected():
         "torsion 2",
     ):
         verdicts.append(FreenessVerdict("NOT_FREE", None, kind, cert, z2))
+    # A genuine certificate of another presentation proves nothing about
+    # the verdict's own: Z and F_2 are free.
+    genuine = [{"kind": kind, "torsion": (2,), "presentation": z2}, freeness_verdict(A5).certificate]
+    for cert, P in zip(genuine, (GroupPresentation(1, ()), GroupPresentation(2, ()))):
+        verdicts.append(FreenessVerdict("NOT_FREE", None, cert["kind"], cert, P))
     for verdict in verdicts:
         assert validate_not_free_certificate(verdict) is False
         # a forged record still serializes, so it can be logged before it is checked
         d = verdict.as_dict()
         assert json.loads(json.dumps(d)) == d
-    # the well-formed torsion certificate still validates
-    cert = {"kind": kind, "torsion": (2,), "presentation": z2}
-    assert validate_not_free_certificate(FreenessVerdict("NOT_FREE", None, kind, cert, z2))
+    # the genuine certificates still validate on their own presentations
+    for cert in genuine:
+        verdict = FreenessVerdict("NOT_FREE", None, cert["kind"], cert, cert["presentation"])
+        assert validate_not_free_certificate(verdict)
 
 
 def test_quotient_search_frees_its_permutations():
@@ -431,6 +450,15 @@ def test_quotient_search_node_count():
     assert v.certificate["degree"] == 7 and validate_not_free_certificate(v)
 
 
+def test_quotient_search_needs_no_recursion():
+    # The search keeps one stack entry per generator, not a Python frame,
+    # so 1,200 generators, each killed by its own relator, run to the end.
+    P = GroupPresentation(1200, tuple((g,) for g in range(1, 1201)))
+    assert find_symmetric_quotient(P, 3) is None
+    v = freeness_verdict(P, effort_budget=0)
+    assert (v.status, v.reason) == ("UNKNOWN", "budget-exhausted:tietze")
+
+
 def test_quotient_search_matches_composing_oracle():
     # Tracing points through a relator, with inverses computed on demand,
     # must leave the search exactly as it was: the same hit, images
@@ -495,6 +523,9 @@ def test_edge_path_matches_naive_oracle():
             got = edge_path_presentation(K, rng=rng)
             want = edge_path_presentation_quotient_naive(K, rng=rng)
             assert (got.ngens, got.relators) == (want.ngens, want.relators), (K, rng)
+            assert all(got.relators), (K, rng)
+    # every triangle of cp2_9 outside B has all its edges in B
+    assert edge_path_presentation(fixtures.cp2_9()) == GroupPresentation(0, ())
 
 
 def _verdict_key(P):

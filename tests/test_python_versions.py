@@ -45,7 +45,6 @@ SCRIPT = textwrap.dedent("""
         level,
         mt.CombinatorialityCertificate("CERTIFIED", 2, (level,), None, None, False),
         mt.BistellarMove((1,), (2, 3, 4)),
-        mt.BistellarResult(True, (), 1, ((1, 2, 3),), "done"),
         mt.BoundReport("rule", "verdict", None, 3, {}, True),
         comparison,
         LinkSphereCheck((1, 2), 0, "S^0", True),

@@ -13,7 +13,6 @@ import minitri
 from minitri.bounds import BoundReport
 from minitri.combinatorial import (
     BistellarMove,
-    BistellarResult,
     CombinatorialityCertificate,
     LevelSummary,
 )
@@ -26,7 +25,6 @@ from minitri.verify import CheckReport, GroupComparison, LinkSphereCheck
 
 P = GroupPresentation(2, ((1, 1), (2, -1, 2)))
 LEVEL = LevelSummary(1, 6, 5, None, 0, 0, "circle recognizer")
-MOVE = BistellarMove((1, 2), (3, 4))
 COMPARISON = GroupComparison(0, "homology", "Z", "Z", "Z", True)
 
 # (class, field names in order, field values, hashable, keys of as_dict())
@@ -62,9 +60,6 @@ CASES = [
      {"verdict", "dimension", "levels", "witness", "witness_reason", "pl_sphere"}),
     (BistellarMove, ("face", "cofacet"), ((1,), (2, 3, 4)), True,
      {"face", "cofacet"}),
-    (BistellarResult, ("success", "moves", "restarts_used", "final_facets", "detail"),
-     (True, (MOVE,), 1, ((1, 2, 3),), "done"), True,
-     {"success", "moves", "restarts_used", "detail"}),
     (BoundReport, ("rule", "verdict", "bound", "dimension", "hypotheses", "applicable",
                    "flags", "details"),
      ("nonfree-pi1", "at least 10", 10, 3, {"d": 3}, True, ("manifold",), {"note": "x"}), False,
