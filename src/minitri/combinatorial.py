@@ -17,12 +17,16 @@ strongly connected and 2V - F = 4 (see ``recognize_2sphere``).  No
 pseudomanifold report is built per link.  The recognizers take
 arbitrary complexes, so they run the full check.
 
-Only a higher link becomes a complex of its own, for its homology: it
-must be an integer homology sphere and must fit a 3k vertex budget, k
-the link dimension.  For d >= 3 the budget also holds the complex
-itself (the link of the empty simplex) to 3d vertices, so a CERTIFIED
-complex that is also a homology sphere is a PL-sphere outright, which is
-what ``alexander_duality_check`` relies on.
+A higher link must be an integer homology sphere and must fit a 3k
+vertex budget, k the link dimension.  It is proved a homology sphere
+first by ``homology._attach`` on its id tuples: when that leaves one
+facet F outside the contractible B, with every ridge of F in B, the
+link's reduced homology is H(F, boundary F), that of a k-sphere.  Only
+when it does not is the link built as a complex of its own, for its
+homology.  For d >= 3 the budget also holds the complex itself (the
+link of the empty simplex) to 3d vertices, so a CERTIFIED complex that
+is also a homology sphere is a PL-sphere outright, which is what
+``alexander_duality_check`` relies on.
 
 Size violations and homology violations are kept apart on purpose.  An
 oversized link only exits the hypothesis of the certification criterion
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 from .complexes import SimplicialComplex, _compact, _find, _memoized, from_facets
 from .errors import DimensionError, HypothesisError, NotPseudomanifoldError, _record
-from .homology import homology
+from .homology import _attach, _attached, homology
 
 
 def recognize_circle(K: SimplicialComplex) -> bool:
@@ -141,6 +145,18 @@ def _level_test(k):
     return "homology k-sphere + 3k vertex budget", f"homology {k}-sphere"
 
 
+def _collapses(rest, inside):
+    """Whether ``_attach`` left one facet outside B, with every ridge of it in B.
+
+    B is contractible, so the complex then has the reduced homology of
+    (F, boundary F), F the facet left: that of a sphere of F's dimension.
+    """
+    if len(rest) != 1:
+        return False
+    f = rest[0]
+    return all(f[:j] + f[j + 1 :] in inside for j in range(len(f)))
+
+
 def _link_is_sphere(K, link, n_vertices, k):
     """Is the link with facets ``link`` (K-id tuples) a k-sphere, by the level's test?
 
@@ -151,7 +167,7 @@ def _link_is_sphere(K, link, n_vertices, k):
         return _closed_circle(link)
     if k == 2:
         return _closed_2sphere(link, n_vertices)
-    return homology(_compact(K.labels, link), reduced=True).is_sphere(k)
+    return _collapses(*_attach(link)) or homology(_compact(K.labels, link), reduced=True).is_sphere(k)
 
 
 def small_link_certificate(K: SimplicialComplex) -> CombinatorialityCertificate:
@@ -159,11 +175,12 @@ def small_link_certificate(K: SimplicialComplex) -> CombinatorialityCertificate:
 
     Levels run over link dimension k = 1 .. d-1, one link per (d-k-1)-face.
     A link that is not a k-sphere (by the recognizers for k <= 2, by
-    Z-homology above) cannot occur in a manifold: REJECTED.  A k >= 3 link
-    on more than 3k vertices exits the criterion's hypothesis: INCONCLUSIVE,
-    outranked by any rejection.  For d >= 3 a size-only last level holds
-    the whole complex to 3d vertices; passing it with the homology of a
-    d-sphere upgrades a CERTIFIED complex to a certified PL-sphere.
+    ``_attach``'s collapse or else Z-homology above) cannot occur in a
+    manifold: REJECTED.  A k >= 3 link on more than 3k vertices exits the
+    criterion's hypothesis: INCONCLUSIVE, outranked by any rejection.
+    For d >= 3 a size-only last level holds the whole complex to 3d
+    vertices; passing it with the homology of a d-sphere upgrades a
+    CERTIFIED complex to a certified PL-sphere.
     """
     if not K.is_closed_pseudomanifold().is_closed_pseudomanifold:
         raise NotPseudomanifoldError("certification needs a closed pseudomanifold")
@@ -222,7 +239,8 @@ def small_link_certificate(K: SimplicialComplex) -> CombinatorialityCertificate:
         levels=tuple(levels),
         witness=witness,
         witness_reason=reason,
-        pl_sphere=verdict == "CERTIFIED" and homology(K, reduced=True).is_sphere(d),
+        pl_sphere=verdict == "CERTIFIED"
+        and (_collapses(*_attached(K)) or homology(K, reduced=True).is_sphere(d)),
     )
 
 

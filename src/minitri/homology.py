@@ -86,8 +86,9 @@ reduce different chain complexes and share no pivot, so the check is a
 real one, and it checks the pair (K, B) and the forest as well.  A
 failed check raises CrossCheckError.
 
-Profiles are memoized on the complex.  The face lists of the pair and
-the pruned matrices are dropped once reduced.
+Profiles are memoized on the complex, and so are B's facets and face
+set, which pi_1 reads as well.  The face lists of the pair and the
+pruned matrices are dropped once reduced.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ import re
 from collections import Counter
 from itertools import chain, combinations
 
-from .complexes import SimplicialComplex, _dual_forest, _faces
+from .complexes import SimplicialComplex, _dual_forest, _faces, _memoized
 from .errors import (
     CoefficientError,
     CrossCheckError,
@@ -236,16 +237,18 @@ def boundary_matrix(K: SimplicialComplex, i: int, reduced: bool = False) -> Boun
     return BoundaryMatrix(i, reduced, rows, cols, _build_boundary(K._ifaces(i - 1), K._ifaces(i)))
 
 
-def _star_vertex(K):
+def _star_vertex(facets):
     """The vertex in the most facets, lowest id on ties: B starts as its closed star."""
-    counts = Counter(chain.from_iterable(K._id_facets))
+    counts = Counter(chain.from_iterable(facets))
     return min(counts, key=lambda u: (-counts[u], u))
 
 
-def _attach(K):
+def _attach(facets):
     """The facets left outside B, and the set of B's faces without the star vertex.
 
-    B starts as the closed star of ``_star_vertex(K)``.  A facet F joins
+    ``facets`` is a sorted antichain of sorted id tuples: a complex's
+    ``_id_facets``, or a link's facets as ``_links`` lists them.  B starts
+    as the closed star of ``_star_vertex(facets)``.  A facet F joins
     when X, the vertices of F opposite its ridges in B, has 1 <= |X| < |F|
     and is not itself a face of B; passes over the other facets in id
     order repeat until one adds nothing.  The faces of F outside B are
@@ -254,14 +257,15 @@ def _attach(K):
     B is collapsible.  The star is a cone.  F meets B in a nonempty
     proper union of its ridges, so for y in F - X, pairing each face
     that holds X but not y with its union with y collapses F onto B.
-    So when K is a closed combinatorial manifold and one facet is left
-    outside, B is a collapsible combinatorial manifold, hence a PL ball
-    (Whitehead, Proc. London Math. Soc. 45, 1939), and K is a PL sphere.
+    So when the facets make a closed combinatorial manifold K and one
+    facet is left outside, B is a collapsible combinatorial manifold,
+    hence a PL ball (Whitehead, Proc. London Math. Soc. 45, 1939), and K
+    is a PL sphere.
     """
-    v = _star_vertex(K)
+    v = _star_vertex(facets)
     inside = set()
     rest = []
-    for f in K._id_facets:
+    for f in facets:
         if v in f:
             # only faces without v are ever looked up: those of lk v
             g = tuple(u for u in f if u != v)
@@ -286,6 +290,12 @@ def _attach(K):
     return rest, inside
 
 
+@_memoized
+def _attached(K):
+    """``_attach`` of K's facets, memoized on K: homology and pi_1 share one B."""
+    return _attach(K._id_facets)
+
+
 def _relative(K):
     """Face counts and invariant factors of d_1..d_d for the pair (K, B).
 
@@ -294,7 +304,7 @@ def _relative(K):
     H_0(K, B), counted as one more 0-face.
     """
     d = K.dimension
-    rest, inside = _attach(K)
+    rest, inside = _attached(K)
     sizes, factors = [0] * (d + 1), [()] * (d + 2)
     cols = [f for f in rest if len(f) == d + 1]
     sizes[d] = len(cols)

@@ -19,7 +19,7 @@ from itertools import permutations
 
 from .complexes import SimplicialComplex, _faces
 from .errors import ConnectivityError, DimensionError, HypothesisError, _as_dict, _plain, _record
-from .homology import _attach, _group_text
+from .homology import _attached, _group_text
 from .snf import SparseMatrix, smith_normal_form
 
 
@@ -113,7 +113,7 @@ def edge_path_presentation(K: SimplicialComplex, rng=None) -> GroupPresentation:
     if isinstance(rng, int):
         rng = random.Random(rng)
 
-    rest, inside = _attach(K)
+    rest, inside = _attached(K)
     # every face outside B lies in a facet left outside B
     todo = {u for (u,) in _faces(rest, 0) if (u,) not in inside}
     edges = [e for e in _faces(rest, 1) if e not in inside]

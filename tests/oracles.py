@@ -395,7 +395,7 @@ def edge_path_presentation_quotient_naive(K, rng=None):
     if isinstance(rng, int):
         rng = random.Random(rng)
     pos = {lab: i for i, lab in enumerate(K.vertices)}
-    rest = {K._to_labels(f) for f in _attach(K)[0]}
+    rest = {K._to_labels(f) for f in _attach(K._id_facets)[0]}
     in_b = {
         frozenset(s)
         for f in K.facets

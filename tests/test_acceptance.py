@@ -34,6 +34,7 @@ from oracles import (
     snf_invariant_factors_naive,
     suspension,
 )
+from test_complexes import _benchmark_corpus
 
 
 def _report(name, started):
@@ -179,18 +180,30 @@ def test_pi1_soundness():
         b1, t1 = homology(K).group(1)
         assert (ab.rank, ab.torsion) == (b1, t1), K.facets[:2]
 
-    for K, expected in (
+    corpus = _benchmark_corpus(1)
+    moved = 0
+    for fixture, expected in (
         (fixtures.rp2_6(), "NOT_FREE"),
         (fixtures.torus_7(), "UNKNOWN"),
         (fixtures.cp2_9(), "FREE"),
     ):
-        for seed in range(20):
-            P = edge_path_presentation(K, rng=random.Random(seed))
-            assert freeness_verdict(P).status == expected, (expected, seed)
-            # K's own presentation; these fixtures are 2-neighbourly, so its
-            # BFS tree from vertex 0 is the star of 0 whatever the seed
-            P = edge_path_presentation_naive(K, rng=random.Random(seed))
-            assert freeness_verdict(P).status == expected, (expected, seed)
+        # The fixture and its flipped copies in the benchmark corpus, told
+        # apart from the other sources by their homology.  The fixtures are
+        # 2-neighbourly, so the oracle's BFS tree from vertex 0 is the star
+        # of 0 whatever the seed; only on the copies does the seed move it.
+        copies = [K for K in corpus if homology(K).groups == homology(fixture).groups]
+        assert len(copies) >= 3
+        for K in [fixture] + copies:
+            trees = set()
+            for seed in range(20):
+                P = edge_path_presentation(K, rng=random.Random(seed))
+                assert freeness_verdict(P).status == expected, (expected, seed)
+                # K's own presentation
+                P = edge_path_presentation_naive(K, rng=random.Random(seed))
+                assert freeness_verdict(P).status == expected, (expected, seed)
+                trees.add(P)
+            moved += len(trees) > 1
+    assert moved >= 10
 
     icosahedral = GroupPresentation(
         ngens=2,

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 
 import pytest
@@ -19,6 +20,8 @@ from minitri.pi1 import GroupPresentation
 
 from oracles import staircase_product, suspension
 from test_complexes import _benchmark_corpus
+
+homology_module = importlib.import_module("minitri.homology")
 
 
 def test_cat_vertex_bound():
@@ -224,6 +227,28 @@ def test_analyze_unknown_pi1_stays_quiet():
     assert "nonfree-pi1" not in rules or not rules["nonfree-pi1"].applicable
     assert "simply-connected-homology" not in rules
     assert "sphere-recognition" not in rules
+
+
+def test_analyze_attaches_each_complex_once(monkeypatch):
+    # Homology and pi_1 read one B, memoized on the complex.
+    attached = []
+    real = homology_module._attach
+
+    def recording(facets):
+        attached.append(facets)
+        return real(facets)
+
+    monkeypatch.setattr(homology_module, "_attach", recording)
+    circle = fixtures.boundary_simplex(1)
+    for K in (
+        fixtures.cp2_9(),
+        fixtures.rp2_6(),
+        fixtures.cross_polytope(5),
+        staircase_product(fixtures.torus_7(), circle),
+    ):
+        del attached[:]
+        analyze(K)
+        assert attached.count(K._id_facets) == 1, K.facets
 
 
 def test_analyze_free_h1_verifies_nonsimply_connected():

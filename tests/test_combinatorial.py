@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minitri import fixtures
+from minitri import combinatorial, fixtures
 from minitri.combinatorial import (
     BistellarMove,
+    _collapses,
+    _link_is_sphere,
     apply_bistellar_move,
     bistellar_moves,
     certified_sphere,
@@ -17,17 +19,20 @@ from minitri.combinatorial import (
 )
 from minitri.complexes import SimplicialComplex, _compact, from_facets
 from minitri.errors import DimensionError, HypothesisError, NotPseudomanifoldError
-from minitri.homology import homology
+from minitri.homology import _attach, homology
 from minitri.pi1 import edge_path_presentation, freeness_verdict, validate_not_free_certificate
 
 from oracles import (
     bistellar_moves_naive,
+    kuhnel,
     random_complex,
     recognize_2sphere_naive,
     recognize_circle_naive,
     small_link_certificate_naive,
+    staircase_product,
     suspension,
 )
+from test_complexes import _benchmark_corpus
 
 BROKEN_PM = from_facets(
     [
@@ -393,6 +398,11 @@ def _certificate_inputs():
     rp2 = suspension(fixtures.rp2_6(), 90, 91)
     yield from (rp2, suspension(rp2, 92, 93), suspension(fixtures.torus_7(), 90, 91))
     yield suspension(fixtures.cross_polytope(2), 90, 91)
+    # k >= 3 links of manifolds that are not spheres, too big to certify
+    plane, circle = fixtures.rp2_6(), fixtures.boundary_simplex(1)
+    yield from (kuhnel(4), kuhnel(5))
+    yield from (staircase_product(plane, circle), staircase_product(fixtures.torus_7(), circle))
+    yield staircase_product(plane, plane)
     yield from (_pinched(fixtures.cross_polytope(d)) for d in (2, 3, 4))
     # strongly connected and chi = 2 must both be tested on 2-sphere links
     yield _torus_and_sphere_link()
@@ -408,6 +418,45 @@ def test_certificate_matches_naive():
         assert cert == small_link_certificate_naive(K).as_dict(), K.facets
         verdicts.add(cert["verdict"])
     assert verdicts == {"CERTIFIED", "INCONCLUSIVE", "REJECTED"}
+
+
+def test_one_facet_left_proves_a_sphere_only_with_its_ridges_in_b():
+    # Three triangles in a row: B is the star of 2, and (4, 5, 6), the one
+    # facet left, has no ridge in it.  One facet left is no proof then, and
+    # the k >= 3 test must answer from homology.
+    strip = [(0, 1, 2), (2, 3, 4), (4, 5, 6)]
+    rest, inside = _attach(strip)
+    assert rest == [(4, 5, 6)]
+    assert not {(5, 6), (4, 6), (4, 5)} & inside
+    assert not _collapses(rest, inside)
+    assert not _link_is_sphere(from_facets(strip), strip, 7, 3)
+
+
+def test_higher_links_are_proved_by_collapse(monkeypatch):
+    # A count, not a time: on each k >= 3 link of these manifolds _attach
+    # leaves one facet with its ridges in B, so no link reaches homology;
+    # the whole complex may, for pl_sphere.
+    calls = []
+    real = combinatorial.homology
+
+    def recording(K, *args, **kwargs):
+        calls.append(K)
+        return real(K, *args, **kwargs)
+
+    monkeypatch.setattr(combinatorial, "homology", recording)
+    inputs = [fixtures.cross_polytope(5), fixtures.cyclic_polytope(10, 5), fixtures.cp2_9(), kuhnel(5)]
+    inputs += [K for K in _benchmark_corpus(1) if K.dimension >= 4]
+    assert len(inputs) == 4 + 8
+    for K in inputs:
+        del calls[:]
+        small_link_certificate(K)
+        assert all(L is K for L in calls), K.facets
+    # a vertex link of the double suspension of RP^2 is the suspended RP^2:
+    # no collapse proves it a sphere, so homology answers, and rejects it
+    K = suspension(suspension(fixtures.rp2_6(), 90, 91), 92, 93)
+    del calls[:]
+    assert small_link_certificate(K).verdict == "REJECTED"
+    assert any(L is not K and L.dimension == 3 for L in calls)
 
 
 def _relabelled(K, rng):

@@ -201,7 +201,7 @@ def test_reductions_memoized_once_per_map(monkeypatch):
     # all 4 vertices.  Its proper faces all lie in other facets, hence in
     # B, so the pair has one outside face, in degree 3.  The forest has no
     # ridge, and d_2 and d_1 are empty maps.
-    rest, _ = homology_module._attach(K)
+    rest, _ = homology_module._attach(K._id_facets)
     assert len(rest) == 1 and _pair_faces(K)(2) == []
     homology(K)
     assert shapes == [(0, 0), (0, 0)]
@@ -260,7 +260,7 @@ def _fixtures():
 
 def _pair_faces(K):
     """Faces of the pair (K, B) for the B that homology grows, as a function of the degree."""
-    rest, inside = homology_module._attach(K)
+    rest, inside = homology_module._attach(K._id_facets)
     return lambda i: [s for s in _faces(rest, i) if s not in inside]
 
 
@@ -293,7 +293,7 @@ def test_top_map_of_closed_pseudomanifold_read_off_spanning_tree(monkeypatch):
         assert all(len(s) < d + 1 for cols in built for s in cols), K.facets
         faces = _pair_faces(K)
         rows, cols = faces(d - 1), faces(d)
-        paired, tree, odd = _dual_forest(cols, d, homology_module._attach(K)[1])
+        paired, tree, odd = _dual_forest(cols, d, homology_module._attach(K._id_facets)[1])
         assert paired, K.facets
         got = (1,) * len(tree) + (2,) * odd
         full = homology_module._build_boundary(rows, cols)
@@ -413,8 +413,8 @@ def test_attached_subcomplex_is_contractible():
     inputs = _fixtures() + corpus + _random_inputs(random.Random(26))
     grew = 0
     for K in inputs:
-        v = homology_module._star_vertex(K)
-        rest, inside = homology_module._attach(K)
+        v = homology_module._star_vertex(K._id_facets)
+        rest, inside = homology_module._attach(K._id_facets)
         attached = [f for f in K._id_facets if f not in set(rest)]
         assert all(f in attached for f in K._id_facets if v in f), K.facets
         grew += len(attached) > sum(v in f for f in K._id_facets)
@@ -437,7 +437,7 @@ def test_polytopal_spheres_leave_one_facet_outside():
     )
     for K in spheres:
         for L in (K, _relabelled(K, rng), _relabelled(K, rng)):
-            rest, _ = homology_module._attach(L)
+            rest, _ = homology_module._attach(L._id_facets)
             assert len(rest) == 1, (K, L.facets)
             assert all(_pair_faces(L)(i) == [] for i in range(L.dimension))
 
@@ -453,7 +453,7 @@ def test_attach_leaves_one_facet_on_sphere_links():
     spheres = [M.link((v,)) for M in manifolds for v in M.vertices]
     assert len(spheres) == 11 + 13 + 15 + 49
     for L in spheres:
-        rest, inside = homology_module._attach(L)
+        rest, inside = homology_module._attach(L._id_facets)
         assert len(rest) == 1, L.facets
         (f,) = rest
         assert all(s in inside for k in range(1, len(f)) for s in combinations(f, k)), L.facets
@@ -466,8 +466,9 @@ def test_pair_profile_does_not_depend_on_the_star_vertex(monkeypatch):
     for K in inputs:
         expected = profile_per_map(K)
         for u in K.vertices:
-            monkeypatch.setattr(homology_module, "_star_vertex", lambda L, u=u: L._id_of[u])
-            assert homology(from_facets(K.facets)).groups == expected, (K.facets, u)
+            L = from_facets(K.facets)
+            monkeypatch.setattr(homology_module, "_star_vertex", lambda facets, v=L._id_of[u]: v)
+            assert homology(L).groups == expected, (K.facets, u)
             choices += 1
     assert choices >= 1300
 
